@@ -11,9 +11,30 @@ namespace evs::app {
 namespace {
 
 constexpr const char* kEpochKey = "evs.last_epoch";
-/// Durable snapshot of the object state (config.persist_state); recovered
-/// in on_start so a restarted member Pulls a bounded delta, not everything.
-constexpr const char* kObjectStateKey = "object.state";
+/// Budget of a delta answer's op suffix, and so of the ring that serves
+/// it: one datagram (net::kMaxPayload, 65 KB) less the frame envelopes.
+/// A longer suffix ships as the full snapshot instead.
+constexpr std::size_t kDeltaMaxBytes = 60u << 10;
+/// Cap on the op bodies a member keeps for the cut rule in one view. A
+/// settle still open after this much traffic (say an Offer larger than a
+/// datagram that never arrives, ROADMAP item 1) drops them and completes
+/// no install in the view, instead of growing without bound.
+constexpr std::size_t kMaxViewOpBytes = 16u << 20;
+
+/// Op-log position of a merge result: one past the furthest input, hashed
+/// over every input's position in merge order, so all members that merge
+/// the same offers agree on it.
+std::pair<std::uint64_t, std::uint64_t> merged_position(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& inputs) {
+  std::uint64_t index = 0;
+  Encoder enc;
+  for (const auto& [i, h] : inputs) {
+    index = std::max(index, i);
+    enc.put_varint(i);
+    enc.put_u64(h);
+  }
+  return {index + 1, roll_op_hash(0, LoggedOp{{}, 0, std::move(enc).take()})};
+}
 
 int popcount(ProblemSet p) {
   int n = 0;
@@ -27,7 +48,9 @@ int popcount(ProblemSet p) {
 }  // namespace
 
 GroupObjectBase::GroupObjectBase(GroupObjectConfig config)
-    : core::EvsEndpoint(config.endpoint), object_config_(std::move(config)) {
+    : core::EvsEndpoint(config.endpoint),
+      object_config_(std::move(config)),
+      op_log_(OpLogConfig{object_config_.delta_transfer ? kDeltaMaxBytes : 0}) {
   set_evs_delegate(this);
 }
 
@@ -43,18 +66,11 @@ void GroupObjectBase::on_start() {
       recovered_epoch_ = 0;
     }
   }
-  // Recover the persisted object state (durable store only). The state is
+  // Recover the persisted op log (durable store only). The state is
   // installed but NOT current: it is the *basis* the settle protocol
-  // upgrades — via a bounded delta when the source supports one — before
-  // this member may serve again.
-  if (object_config_.persist_state) {
-    if (const auto bytes = store().get(kObjectStateKey)) {
-      if (!checked_install(*bytes)) {
-        EVS_DEBUG(to_string(id()) << " persisted object state unreadable;"
-                  << " starting empty");
-      }
-    }
-  }
+  // upgrades — via an op-suffix delta when the source still holds the
+  // ops after it — before this member may serve again.
+  if (object_config_.persist_state) recover_op_log();
   machine_.emplace(now());
   core::EvsEndpoint::on_start();  // installs the first (singleton) view
 }
@@ -193,6 +209,13 @@ void GroupObjectBase::on_eview(const core::EView& eview) {
     awaiting_delta_from_.reset();
     delta_retry_full_ = false;
     last_merge_request_ev_ = UINT64_MAX;
+    // Held ops of the old view are dropped with it: a holding member never
+    // applied them and stays not current (start_settle cleared the flag),
+    // so the next settle brings it up to date again.
+    view_ops_delivered_ = 0;
+    view_ops_.clear();
+    view_ops_bytes_ = 0;
+    holding_ = false;
   }
   EVS_DEBUG(to_string(id()) << " on_eview " << gms::to_string(eview.view)
             << " ev_seq=" << eview.ev_seq << " mode=" << to_string(mode())
@@ -213,7 +236,6 @@ void GroupObjectBase::on_eview(const core::EView& eview) {
   maybe_finish_chunks();
   maybe_request_merges();
   try_reconcile();
-  persist_object_state();
   if (view_observer_) view_observer_(eview);
 }
 
@@ -233,28 +255,46 @@ void GroupObjectBase::dispatch_frame(ProcessId sender, const Bytes& payload) {
   Decoder dec(payload);
   switch (static_cast<FrameKind>(dec.get_u8())) {
     case FrameKind::Object: {
-      const std::uint64_t op_seq = dec.get_varint();
+      LoggedOp op;
+      op.sender = sender;
+      op.op_seq = dec.get_varint();
       const std::uint64_t op_trace = dec.get_varint();
-      Bytes body = dec.get_bytes();
-      if (object_config_.record_history) history_.record_delivery(sender, body);
+      op.body = dec.get_bytes();
+      if (object_config_.record_history)
+        history_.record_delivery(sender, op.body);
       auto* bus = trace();
       const bool traced =
           op_trace != 0 && bus != nullptr && bus->enabled();
       if (traced) {
         bus->record({now(), id(), obs::EventKind::RequestDelivered,
-                     eview().view.id, sender, op_trace, op_seq});
+                     eview().view.id, sender, op_trace, op.op_seq});
       }
-      const SimTime apply_start = now();
-      on_object_deliver(sender, body);
-      apply_us_.record(static_cast<double>(now() - apply_start));
-      if (traced) {
-        bus->record({now(), id(), obs::EventKind::RequestApplied,
-                     eview().view.id, sender, op_trace, op_seq});
+      ++view_ops_delivered_;
+      if (!install_may_come() || view_ops_bytes_ > kMaxViewOpBytes) {
+        // The settle is over (no cut will need them) or too long to keep.
+        view_ops_.clear();
+      } else {
+        view_ops_bytes_ += op.body.size();
+        view_ops_.push_back(op);
+      }
+      if (holding_) {
+        ++object_stats_.held_ops;
+      } else {
+        const SimTime apply_start = now();
+        on_object_deliver(sender, op.body);
+        apply_us_.record(static_cast<double>(now() - apply_start));
+        if (traced) {
+          bus->record({now(), id(), obs::EventKind::RequestApplied,
+                       eview().view.id, sender, op_trace, op.op_seq});
+        }
       }
       // Our own operation came back through the total order: complete the
       // external-client request it carried, if any (and if a view change
-      // didn't fence it first).
-      if (sender == id()) resolve_pending_svc(op_seq);
+      // didn't fence it first). The reply goes out before the op is
+      // logged — the ack point is the ordered self-delivery, and the log
+      // is write-behind like the rest of the store.
+      if (sender == id()) resolve_pending_svc(op.op_seq);
+      if (!holding_) log_op(op);
       break;
     }
     case FrameKind::Offer:
@@ -272,10 +312,6 @@ void GroupObjectBase::dispatch_frame(ProcessId sender, const Bytes& payload) {
     default:
       throw DecodeError("GroupObject: unknown frame");
   }
-  // Write-behind durability for every state-bearing delivery: ordered
-  // operations, installed snapshots, chunks and deltas alike. The store
-  // batches per loop iteration, so this is a buffered append, not a sync.
-  persist_object_state();
 }
 
 // ----------------------------------------------------------------- mode ---
@@ -353,6 +389,19 @@ void GroupObjectBase::start_settle(const core::EView& eview) {
     ++object_stats_.discovery_rounds;
     classification_ready_ = false;
   }
+  // A member outside the single serving subview will Pull a delta over
+  // its current state (or install a full snapshot): hold this view's ops
+  // until then, and stop counting as current — if the view ends first,
+  // the held ops are gone and the next settle must bring it up to date.
+  if (object_config_.delta_transfer &&
+      object_config_.classifier == ClassifierMode::Enriched &&
+      object_config_.transfer == TransferStrategy::WholeSnapshot &&
+      classification_.serving_subviews.size() == 1 &&
+      eview.structure.subview_of(id()) !=
+          classification_.serving_subviews.front()) {
+    holding_ = true;
+    state_current_ = false;
+  }
   send_offer_if_rep(eview);
 }
 
@@ -363,6 +412,8 @@ void GroupObjectBase::send_offer_if_rep(const core::EView& eview) {
   offer.prior_mode = prior_mode_;
   offer.version = state_version();
   offer.recovered_epoch = recovered_epoch_;
+  offer.op_index = op_log_.index();
+  offer.op_hash = op_log_.hash();
 
   if (object_config_.classifier == ClassifierMode::Enriched) {
     const auto sv = eview.structure.subview_of(id());
@@ -426,6 +477,8 @@ void GroupObjectBase::send_offer_if_rep(const core::EView& eview) {
   enc.put_varint(offer.recovered_epoch);
   enc.put_varint(offer.chunk_count);
   enc.put_bool(offer.deferred);
+  enc.put_varint(offer.op_index);
+  enc.put_u64(offer.op_hash);
   enc.put_bytes(offer.snapshot);
   app_multicast(std::move(enc).take());
 
@@ -474,6 +527,8 @@ void GroupObjectBase::handle_offer(ProcessId sender, Decoder& dec) {
   offer.recovered_epoch = dec.get_varint();
   offer.chunk_count = dec.get_varint();
   offer.deferred = dec.get_bool();
+  offer.op_index = dec.get_varint();
+  offer.op_hash = dec.get_u64();
   offer.snapshot = dec.get_bytes();
   if (offer.view != eview().view.id) return;  // stale
   offers_[sender] = std::move(offer);
@@ -510,8 +565,9 @@ void GroupObjectBase::maybe_finish_chunks() {
   Bytes full;
   for (const auto& [index, part] : it->second.parts)
     full.insert(full.end(), part.begin(), part.end());
+  const Offer& offer = offers_.at(*awaiting_full_from_);
   awaiting_full_from_.reset();
-  if (!checked_install(full)) {
+  if (!install_at_cut(full, offer.op_index, offer.op_hash, 0)) {
     // The assembled state was garbage: surrender the small-part serve
     // claim too — a member must not keep serving on state it cannot
     // complete. The next view change restarts the settle.
@@ -538,7 +594,8 @@ void GroupObjectBase::send_pull(bool want_full) {
   enc.put_view_id(eview().view.id);
   enc.put_process(*awaiting_delta_from_);
   enc.put_bool(want_full);
-  enc.put_bytes(want_full ? Bytes{} : delta_basis());
+  enc.put_varint(op_log_.index());
+  enc.put_u64(op_log_.hash());
   EVS_DEBUG(to_string(id()) << " pulls " << (want_full ? "full" : "delta")
             << " from " << to_string(*awaiting_delta_from_));
   app_multicast(std::move(enc).take());
@@ -548,14 +605,23 @@ void GroupObjectBase::handle_pull(ProcessId sender, Decoder& dec) {
   const ViewId view = dec.get_view_id();
   const ProcessId target = dec.get_process();
   const bool want_full = dec.get_bool();
-  const Bytes basis = dec.get_bytes();
+  const std::uint64_t basis_index = dec.get_varint();
+  const std::uint64_t basis_hash = dec.get_u64();
   if (view != eview().view.id) return;  // stale
   if (target != id()) return;           // someone else's source
   // Only a member with current state may answer; a view change rescues a
   // Pull that raced past the source (the settle restarts with new offers).
   if (!state_current_) return;
+  // The answer is cut here, at the Pull's place in the total order: it
+  // holds the view's first view_ops_delivered_ ops, and the puller
+  // re-applies the ones it delivered after them.
   std::optional<Bytes> payload;
-  if (!want_full) payload = snapshot_delta(basis);
+  if (!want_full) {
+    if (const auto ops = op_log_.suffix_after(basis_index, basis_hash,
+                                              kDeltaMaxBytes)) {
+      payload = encode_ops(*ops);
+    }
+  }
   const bool full = !payload.has_value();
   if (full) {
     payload = snapshot_state();
@@ -569,6 +635,10 @@ void GroupObjectBase::handle_pull(ProcessId sender, Decoder& dec) {
   enc.put_view_id(view);
   enc.put_process(sender);
   enc.put_bool(full);
+  enc.put_varint(basis_index);
+  enc.put_varint(op_log_.index());
+  enc.put_u64(op_log_.hash());
+  enc.put_varint(view_ops_delivered_);
   enc.put_bytes(*payload);
   EVS_DEBUG(to_string(id()) << " serves " << (full ? "full" : "delta")
             << " (" << payload->size() << "B) to " << to_string(sender));
@@ -579,31 +649,44 @@ void GroupObjectBase::handle_delta(ProcessId sender, Decoder& dec) {
   const ViewId view = dec.get_view_id();
   const ProcessId target = dec.get_process();
   const bool full = dec.get_bool();
+  const std::uint64_t basis_index = dec.get_varint();
+  const std::uint64_t cut_index = dec.get_varint();
+  const std::uint64_t cut_hash = dec.get_u64();
+  const std::uint64_t cut_ops = dec.get_varint();
   const Bytes payload = dec.get_bytes();
   if (view != eview().view.id) return;  // stale
   if (target != id()) return;           // answer to another member's Pull
   if (!awaiting_delta_from_ || *awaiting_delta_from_ != sender) return;
   object_stats_.delta_bytes_received += payload.size();
-  if (full) {
-    if (!checked_install(payload)) return;  // counted; stay settling
-  } else {
-    bool applied = false;
+  bool ok = view_ops_cover(cut_ops);
+  if (ok && full) {
+    ok = install_at_cut(payload, cut_index, cut_hash, cut_ops);
+  } else if (ok) {
+    // Upgrade the held basis op by op; the source's cut position proves
+    // the result is its state.
     try {
-      applied = install_delta(payload);
+      std::vector<LoggedOp> ops = decode_ops(payload);
+      ok = basis_index == op_log_.index() &&
+           basis_index + ops.size() == cut_index;
+      for (std::size_t i = 0; ok && i < ops.size(); ++i) apply_op(ops[i]);
     } catch (const DecodeError&) {
       ++object_stats_.snapshot_decode_errors;
+      ok = false;
     }
-    if (!applied) {
-      // The delta no longer matches the local state (ordered writes landed
-      // between our Pull and this answer, or the payload was malformed):
-      // one full-snapshot retry, then give up until the next view change.
-      if (!delta_retry_full_) {
-        delta_retry_full_ = true;
-        send_pull(true);
-      }
-      return;
+    ok = ok && op_log_.hash() == cut_hash;
+    if (ok) {
+      ++object_stats_.delta_installs;
+      replay_after_cut(cut_ops);
     }
-    ++object_stats_.delta_installs;
+  }
+  if (!ok) {
+    // A malformed or mismatched answer: one full-snapshot retry, then
+    // give up until the next view change (the member stays settling).
+    if (!delta_retry_full_) {
+      delta_retry_full_ = true;
+      send_pull(true);
+    }
+    return;
   }
   finish_delta_settle();
 }
@@ -624,6 +707,77 @@ void GroupObjectBase::finish_delta_settle() {
   try_reconcile();
 }
 
+bool GroupObjectBase::view_ops_cover(std::uint64_t cut_ops) const {
+  // Every op past the cut must still be at hand to re-apply: none were
+  // dropped over the cap, and the cut is not ahead of this member (the
+  // total order is causal, so a source's cut never is).
+  return view_ops_bytes_ <= kMaxViewOpBytes &&
+         view_ops_.size() == view_ops_delivered_ &&
+         cut_ops <= view_ops_.size();
+}
+
+bool GroupObjectBase::install_may_come() const {
+  return settling_ &&
+         (!adopted_ || awaiting_full_from_ || awaiting_delta_from_);
+}
+
+void GroupObjectBase::apply_op(const LoggedOp& op) {
+  on_object_deliver(op.sender, op.body);
+  log_op(op);
+}
+
+void GroupObjectBase::log_op(const LoggedOp& op) {
+  op_log_.append(op);
+  if (op_log_.snapshot_due()) op_log_.write_snapshot(snapshot_state());
+}
+
+bool GroupObjectBase::install_at_cut(const Bytes& snapshot,
+                                     std::uint64_t index, std::uint64_t hash,
+                                     std::uint64_t cut_ops) {
+  if (!view_ops_cover(cut_ops)) return false;
+  if (!checked_install(snapshot)) return false;
+  op_log_.reset(index, hash);
+  if (object_config_.persist_state) op_log_.write_snapshot(snapshot_state());
+  replay_after_cut(cut_ops);
+  return true;
+}
+
+void GroupObjectBase::replay_after_cut(std::uint64_t cut_ops) {
+  // State only: these ops were delivered (and any client answered) when
+  // they came; the install just put them behind the cut again.
+  holding_ = false;
+  for (std::size_t i = static_cast<std::size_t>(cut_ops); i < view_ops_.size();
+       ++i) {
+    apply_op(view_ops_[i]);
+    ++object_stats_.cut_replays;
+  }
+}
+
+void GroupObjectBase::recover_op_log() {
+  op_log_.attach(&store());
+  std::optional<RecoveredLog> log = OpLog::load(store());
+  if (!log || (log->snapshot && !checked_install(*log->snapshot))) {
+    // Start empty, and say so on disk: a fresh snapshot at (0, 0) keeps
+    // the unreadable one from shadowing the ops logged from here on.
+    EVS_DEBUG(to_string(id()) << " persisted object state unreadable;"
+              << " starting empty");
+    if (!log) ++object_stats_.snapshot_decode_errors;
+    op_log_.write_snapshot(snapshot_state());
+    return;
+  }
+  op_log_.resume(*log);
+  for (const LoggedOp& op : log->ops) {
+    try {
+      on_object_deliver(op.sender, op.body);
+    } catch (const DecodeError&) {
+      ++object_stats_.snapshot_decode_errors;
+      break;
+    }
+    op_log_.append(op, /*persist=*/false);
+    ++object_stats_.recovered_ops;
+  }
+}
+
 bool GroupObjectBase::checked_install(const Bytes& snapshot) {
   try {
     install_state(snapshot);
@@ -634,11 +788,6 @@ bool GroupObjectBase::checked_install(const Bytes& snapshot) {
               << snapshot.size() << "B): " << err.what());
     return false;
   }
-}
-
-void GroupObjectBase::persist_object_state() {
-  if (!object_config_.persist_state) return;
-  store().put(kObjectStateKey, snapshot_state());
 }
 
 void GroupObjectBase::maybe_complete_settle() {
@@ -722,10 +871,12 @@ void GroupObjectBase::adopt_states() {
   if (serving.size() >= 2) {
     // State merging: requires every cluster's *full* state.
     std::vector<Bytes> inputs;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> positions;
     for (const SubviewId sv : serving) {
       auto full = full_of(sv);
       if (!full) return;  // chunks still in flight; retry on next chunk
       inputs.push_back(*std::move(full));
+      positions.emplace_back(source.at(sv)->op_index, source.at(sv)->op_hash);
     }
     // merge_cluster_states decodes peer snapshots too: a malformed input
     // is a counted rejection (everyone computes the same merge over the
@@ -734,7 +885,8 @@ void GroupObjectBase::adopt_states() {
     bool ok = false;
     try {
       const Bytes merged = merge_cluster_states(inputs);
-      ok = checked_install(merged);
+      const auto [index, hash] = merged_position(positions);
+      ok = install_at_cut(merged, index, hash, 0);
     } catch (const DecodeError&) {
       ++object_stats_.snapshot_decode_errors;
     }
@@ -764,7 +916,8 @@ void GroupObjectBase::adopt_states() {
         awaiting_delta_from_ = source_sender.at(src);
         send_pull(false);
       } else if (offer->chunk_count == 0) {
-        if (checked_install(offer->snapshot)) {
+        if (install_at_cut(offer->snapshot, offer->op_index, offer->op_hash,
+                           0)) {
           state_current_ = true;
           current_settle_.serve_ready = t_now;
           current_settle_.fully_done = t_now;
@@ -779,7 +932,7 @@ void GroupObjectBase::adopt_states() {
           small_ok = false;
         }
         if (const auto full = full_of(src)) {
-          if (checked_install(*full)) {
+          if (install_at_cut(*full, offer->op_index, offer->op_hash, 0)) {
             state_current_ = true;
             current_settle_.serve_ready = t_now;
             current_settle_.fully_done = t_now;
@@ -820,7 +973,7 @@ void GroupObjectBase::adopt_states() {
           ok = false;
         }
       } else if (full) {
-        ok = checked_install(*full);
+        ok = install_at_cut(*full, winner->op_index, winner->op_hash, 0);
         if (ok) current_settle_.fully_done = t_now;
       }
     } else {
@@ -921,6 +1074,16 @@ void GroupObjectBase::export_metrics(obs::MetricsRegistry& registry,
       .set(object_stats_.delta_bytes_received);
   registry.counter(prefix + ".delta_full_fallbacks")
       .set(object_stats_.delta_full_fallbacks);
+  registry.counter(prefix + ".held_ops").set(object_stats_.held_ops);
+  registry.counter(prefix + ".cut_replays").set(object_stats_.cut_replays);
+  registry.counter(prefix + ".recovered_ops").set(object_stats_.recovered_ops);
+  const OpLogStats& log = op_log_.stats();
+  registry.counter(prefix + ".oplog.index").set(op_log_.index());
+  registry.counter(prefix + ".oplog.ops_logged").set(log.ops_logged);
+  registry.counter(prefix + ".oplog.op_bytes_logged").set(log.op_bytes_logged);
+  registry.counter(prefix + ".oplog.snapshots").set(log.snapshots);
+  registry.counter(prefix + ".oplog.snapshot_bytes").set(log.snapshot_bytes);
+  registry.counter(prefix + ".oplog.ring_bytes").set(op_log_.ring_bytes());
   // Per-phase attribution of svc-originated operations (see the accessor
   // docs in group_object.hpp for the exact spans each one measures).
   registry.histogram(prefix + ".svc.order_us") = order_us_;

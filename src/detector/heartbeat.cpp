@@ -44,12 +44,19 @@ void HeartbeatDetector::on_heartbeat(ProcessId from) {
   // older one: the old incarnation is dead by definition.
   for (auto it = last_seen_.begin(); it != last_seen_.end();) {
     if (it->first.site == from.site && it->first.incarnation < from.incarnation) {
+      reachable_since_.erase(it->first);
       it = last_seen_.erase(it);
     } else {
       ++it;
     }
   }
+  if (!is_reachable(from)) reachable_since_[from] = host_.now();
   last_seen_[from] = host_.now();
+}
+
+SimTime HeartbeatDetector::reachable_since(ProcessId id) const {
+  const auto it = reachable_since_.find(id);
+  return it == reachable_since_.end() ? 0 : it->second;
 }
 
 void HeartbeatDetector::mark_left(ProcessId id) {

@@ -76,6 +76,10 @@ class HeartbeatDetector {
 
   bool is_reachable(ProcessId id) const;
 
+  /// When `id` last became reachable (its first heartbeat after being
+  /// unheard or suspected); 0 when it never was.
+  SimTime reachable_since(ProcessId id) const;
+
   const DetectorStats& stats() const { return stats_; }
   const DetectorConfig& config() const { return config_; }
 
@@ -95,6 +99,7 @@ class HeartbeatDetector {
   DetectorStats stats_;
 
   std::unordered_map<ProcessId, SimTime> last_seen_;
+  std::unordered_map<ProcessId, SimTime> reachable_since_;
   std::unordered_set<ProcessId> left_;
   std::vector<ProcessId> last_reported_;
   bool started_ = false;

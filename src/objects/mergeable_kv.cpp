@@ -116,9 +116,12 @@ void MergeableKv::install_state(const Bytes& snapshot) {
   std::uint64_t version = 0;
   std::uint64_t lamport = 0;
   decode_entries(dec, entries, version, lamport);
+  // Exactly the snapshot: the group object re-applies the ops past the
+  // install's cut, so every replica at one op-log position holds the
+  // same state, version and clock included.
   entries_ = std::move(entries);
-  version_ = std::max(version_, version);
-  lamport_ = std::max(lamport_, lamport);
+  version_ = version;
+  lamport_ = lamport;
 }
 
 Bytes MergeableKv::merge_cluster_states(const std::vector<Bytes>& snapshots) {

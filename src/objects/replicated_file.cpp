@@ -10,17 +10,6 @@ namespace {
 
 constexpr const char* kStateKey = "file.state";
 
-/// FNV-1a 64 over a content prefix — the delta basis's cheap proof that
-/// the source's file still begins with the receiver's recovered bytes.
-std::uint64_t fnv1a(const std::string& data, std::size_t len) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 }  // namespace
 
 ReplicatedFile::ReplicatedFile(ReplicatedFileConfig config)
@@ -38,7 +27,10 @@ std::uint32_t ReplicatedFile::votes_of(SiteId site) const {
 void ReplicatedFile::on_start() {
   // Permanent local state: a recovered incarnation resumes from its
   // site's replica (possibly stale — the settle protocol fixes that).
-  if (const auto bytes = store().get(kStateKey)) {
+  // Behind persist_state the base's op log recovers it instead.
+  if (const auto bytes = config_.object.persist_state
+                             ? std::nullopt
+                             : store().get(kStateKey)) {
     try {
       Decoder dec(*bytes);
       version_ = dec.get_varint();
@@ -194,54 +186,6 @@ void ReplicatedFile::install_small(const Bytes& snapshot) {
   if (version > version_) version_ = version;
 }
 
-Bytes ReplicatedFile::delta_basis() const {
-  Encoder enc;
-  enc.put_varint(version_);
-  enc.put_varint(content_.size());
-  enc.put_u64(fnv1a(content_, content_.size()));
-  return std::move(enc).take();
-}
-
-std::optional<Bytes> ReplicatedFile::snapshot_delta(const Bytes& basis) const {
-  std::uint64_t base_version = 0;
-  std::uint64_t base_len = 0;
-  std::uint64_t base_hash = 0;
-  try {
-    Decoder dec(basis);
-    base_version = dec.get_varint();
-    base_len = dec.get_varint();
-    base_hash = dec.get_u64();
-    dec.expect_end();
-  } catch (const DecodeError&) {
-    return std::nullopt;  // unreadable basis: ship the full state
-  }
-  // Bounded delta exists iff the receiver's recovered file is a prefix of
-  // ours — i.e. only appends happened since it went away.
-  if (base_version > version_ || base_len > content_.size()) return std::nullopt;
-  if (fnv1a(content_, static_cast<std::size_t>(base_len)) != base_hash)
-    return std::nullopt;
-  Encoder enc;
-  enc.put_varint(version_);
-  enc.put_varint(base_len);
-  enc.put_string(content_.substr(static_cast<std::size_t>(base_len)));
-  return std::move(enc).take();
-}
-
-bool ReplicatedFile::install_delta(const Bytes& delta) {
-  Decoder dec(delta);
-  const std::uint64_t version = dec.get_varint();
-  const std::uint64_t base_len = dec.get_varint();
-  std::string suffix = dec.get_string();
-  dec.expect_end();
-  // Ordered deliveries may have advanced this replica between its Pull and
-  // the answer; a length mismatch means the delta's basis is gone.
-  if (base_len != content_.size()) return false;
-  content_ += suffix;
-  version_ = version;
-  persist();
-  return true;
-}
-
 Bytes ReplicatedFile::merge_cluster_states(const std::vector<Bytes>& snapshots) {
   // Write quorums intersect, so at most one cluster can have accepted
   // writes; the highest version is the authoritative copy.
@@ -267,6 +211,7 @@ Bytes ReplicatedFile::merge_cluster_states(const std::vector<Bytes>& snapshots) 
 }
 
 void ReplicatedFile::persist() {
+  if (config_.object.persist_state) return;  // the op log persists it
   store().put(kStateKey, snapshot_state());
 }
 

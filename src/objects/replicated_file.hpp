@@ -15,7 +15,9 @@
 // Writes are multicast through the totally-ordered channel, so replicas
 // apply them in one global order; version numbers are monotonic. The
 // file content and version persist in the site's stable store, modelling
-// the permanent part of the local state (recovery reloads them).
+// the permanent part of the local state (recovery reloads them) — unless
+// config.object.persist_state hands durability to the group object's
+// ordered-op log, which also gives the file its delta rejoin.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +69,6 @@ class ReplicatedFile : public app::GroupObjectBase {
   /// content streams in concurrently.
   Bytes snapshot_small() const override;
   void install_small(const Bytes& snapshot) override;
-  /// Bounded-delta transfer: the basis names this replica's recovered
-  /// {version, length, content hash}; when the source's file still starts
-  /// with exactly that prefix (append-only history since the basis), the
-  /// delta ships just the version and the appended suffix. A rewritten
-  /// file (Write replaces content) fails the prefix check and falls back
-  /// to the full snapshot.
-  Bytes delta_basis() const override;
-  std::optional<Bytes> snapshot_delta(const Bytes& basis) const override;
-  bool install_delta(const Bytes& delta) override;
   Bytes merge_cluster_states(const std::vector<Bytes>& snapshots) override;
   std::uint64_t state_version() const override { return version_; }
   void on_object_deliver(ProcessId sender, const Bytes& payload) override;

@@ -24,6 +24,21 @@ bool MemoryStore::contains(const std::string& key) const {
   return entries_.contains(key);
 }
 
+void MemoryStore::erase_prefix(const std::string& prefix) {
+  erase_prefix_in(entries_, prefix);
+}
+
+std::size_t erase_prefix_in(std::map<std::string, Bytes>& entries,
+                            const std::string& prefix) {
+  auto it = entries.lower_bound(prefix);
+  std::size_t erased = 0;
+  while (it != entries.end() && it->first.starts_with(prefix)) {
+    it = entries.erase(it);
+    ++erased;
+  }
+  return erased;
+}
+
 std::size_t MemoryStore::bytes() const {
   std::size_t total = 0;
   for (const auto& [key, value] : entries_) total += value.size();

@@ -98,7 +98,14 @@ class StableStore {
   virtual std::optional<Bytes> get(const std::string& key) const = 0;
   virtual void erase(const std::string& key) = 0;
   virtual bool contains(const std::string& key) const = 0;
+  /// Erases every key that starts with `prefix` as one atomic step (an
+  /// op log drops the records behind a snapshot this way).
+  virtual void erase_prefix(const std::string& prefix) = 0;
 };
+
+/// Erases the keys of `entries` that start with `prefix`; returns how many.
+std::size_t erase_prefix_in(std::map<std::string, Bytes>& entries,
+                            const std::string& prefix);
 
 /// In-memory StableStore with cost counters; the simulator's per-site
 /// store and the default store of the net runtime (durable file-backed
@@ -109,6 +116,7 @@ class MemoryStore : public StableStore {
   std::optional<Bytes> get(const std::string& key) const override;
   void erase(const std::string& key) override;
   bool contains(const std::string& key) const override;
+  void erase_prefix(const std::string& prefix) override;
 
   std::size_t size() const { return entries_.size(); }
   /// Total payload bytes held — used by benches to report storage cost.
@@ -139,6 +147,9 @@ class PrefixStore final : public StableStore {
   void erase(const std::string& key) override { inner_.erase(prefix_ + key); }
   bool contains(const std::string& key) const override {
     return inner_.contains(prefix_ + key);
+  }
+  void erase_prefix(const std::string& prefix) override {
+    inner_.erase_prefix(prefix_ + prefix);
   }
 
  private:

@@ -57,7 +57,16 @@ void Network::set_partition(const std::vector<std::vector<SiteId>>& groups) {
 void Network::heal() {
   component_.clear();
   partitioned_ = false;
+  blocked_links_.clear();
   ++topology_version_;
+}
+
+void Network::block_link(SiteId from, SiteId to) {
+  blocked_links_.emplace(from, to);
+}
+
+void Network::unblock_link(SiteId from, SiteId to) {
+  blocked_links_.erase({from, to});
 }
 
 void Network::send(ProcessId from, ProcessId to, Bytes payload) {
@@ -82,7 +91,7 @@ void Network::enqueue(ProcessId from, SiteId site, std::optional<ProcessId> to,
   ++stats_.messages_sent;
   stats_.bytes_sent += payload.size();
 
-  if (!reachable(from.site, site)) {
+  if (!reachable(from.site, site) || blocked_links_.contains({from.site, site})) {
     ++stats_.dropped_partition;
     return;
   }

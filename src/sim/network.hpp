@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -91,8 +92,14 @@ class Network {
   /// not mentioned becomes isolated in its own component.
   void set_partition(const std::vector<std::vector<SiteId>>& groups);
 
-  /// Restores full connectivity.
+  /// Restores full connectivity (partitions and one-way blocks alike).
   void heal();
+
+  /// One-way block: messages sent from `from` to `to` are dropped while
+  /// the reverse direction keeps working — the asymmetric failure behind
+  /// a view split that nobody re-merges (only one side suspects).
+  void block_link(SiteId from, SiteId to);
+  void unblock_link(SiteId from, SiteId to);
 
   bool reachable(SiteId a, SiteId b) const;
 
@@ -124,6 +131,7 @@ class Network {
   // and unmapped sites are isolated (component = kIsolatedBase + site).
   std::unordered_map<SiteId, std::uint32_t> component_;
   bool partitioned_ = false;
+  std::set<std::pair<SiteId, SiteId>> blocked_links_;
   // Per directed (src-site, dst-site) link: time the link frees up.
   std::map<std::pair<SiteId, SiteId>, SimTime> link_busy_until_;
   // Bumped on every topology change; used to detect "partition formed

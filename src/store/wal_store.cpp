@@ -17,6 +17,7 @@ namespace {
 
 constexpr std::uint8_t kRecordPut = 1;
 constexpr std::uint8_t kRecordErase = 2;
+constexpr std::uint8_t kRecordErasePrefix = 3;
 // "EVS1" little-endian; guards against pointing the store at a foreign file.
 constexpr std::uint32_t kSnapshotMagic = 0x31535645u;
 // A record body can never legitimately approach this; recovery treats a
@@ -128,6 +129,16 @@ void WalStore::erase(const std::string& key) {
 
 bool WalStore::contains(const std::string& key) const {
   return entries_.contains(key);
+}
+
+void WalStore::erase_prefix(const std::string& prefix) {
+  // Like erase(): a prefix matching nothing logs nothing.
+  if (runtime::erase_prefix_in(entries_, prefix) == 0) return;
+  Encoder body;
+  body.put_u8(kRecordErasePrefix);
+  body.put_string(prefix);
+  append_record(std::move(body).take());
+  ++stats_.prefix_erases;
 }
 
 void WalStore::append_record(Bytes body) {
@@ -310,6 +321,9 @@ void WalStore::replay_wal() {
       } else if (kind == kRecordErase) {
         dec.expect_end();
         entries_.erase(key);
+      } else if (kind == kRecordErasePrefix) {
+        dec.expect_end();
+        runtime::erase_prefix_in(entries_, key);
       } else {
         break;
       }
@@ -334,6 +348,7 @@ void WalStore::export_metrics(obs::MetricsRegistry& registry,
                               const std::string& prefix) const {
   registry.counter(prefix + ".puts").set(stats_.puts);
   registry.counter(prefix + ".erases").set(stats_.erases);
+  registry.counter(prefix + ".prefix_erases").set(stats_.prefix_erases);
   registry.counter(prefix + ".flushes").set(stats_.flushes);
   registry.counter(prefix + ".fsync_calls").set(stats_.fsync_calls);
   registry.counter(prefix + ".wal_records").set(stats_.wal_records);

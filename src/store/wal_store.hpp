@@ -12,10 +12,12 @@
 //
 // Record framing (WAL): [u32 len][u32 crc32][body], both little-endian,
 // where len is the body size and crc32 covers the body only. The body is
-// codec-encoded: u8 kind (1 = put, 2 = erase), key as a varint-prefixed
-// string, and for puts the value as varint-prefixed bytes — an empty
-// value therefore encodes distinctly from an erase, so `put(k, {})`
-// round-trips as present-with-empty, never as absent.
+// codec-encoded: u8 kind (1 = put, 2 = erase, 3 = erase-prefix), key (or
+// prefix) as a varint-prefixed string, and for puts the value as
+// varint-prefixed bytes — an empty value therefore encodes distinctly
+// from an erase, so `put(k, {})` round-trips as present-with-empty, never
+// as absent. One erase-prefix record drops a whole key range (an object's
+// op log behind its snapshot) without a record per key.
 //
 // Group commit: put()/erase() apply to the in-memory image immediately
 // (read-your-writes) and append the encoded record to a pending buffer;
@@ -66,6 +68,7 @@ struct WalStoreConfig {
 struct WalStoreStats {
   std::uint64_t puts = 0;
   std::uint64_t erases = 0;
+  std::uint64_t prefix_erases = 0;
   std::uint64_t flushes = 0;
   std::uint64_t fsync_calls = 0;
   std::uint64_t wal_records = 0;  // records synced to the log
@@ -96,6 +99,7 @@ class WalStore final : public runtime::StableStore {
   std::optional<Bytes> get(const std::string& key) const override;
   void erase(const std::string& key) override;
   bool contains(const std::string& key) const override;
+  void erase_prefix(const std::string& prefix) override;
 
   /// Group commit: one write() + one fdatasync() covering every record
   /// buffered since the last flush. No-op when nothing is pending.

@@ -24,7 +24,11 @@ Endpoint::~Endpoint() = default;
 void Endpoint::on_start() {
   detector::DetectorHost host;
   host.send_heartbeat = [this](SiteId site) {
-    send_to_site(site, gms::frame(gms::Channel::Heartbeat, Encoder{}));
+    // Every heartbeat names the sender's view epoch, so a member left out
+    // of a view its peers moved on to learns it (see handle_heartbeat).
+    Encoder body;
+    body.put_varint(view_.id.epoch);
+    send_to_site(site, gms::frame(gms::Channel::Heartbeat, std::move(body)));
   };
   host.set_timer = [this](SimDuration d, std::function<void()> fn) {
     set_timer(d, std::move(fn));
@@ -53,6 +57,7 @@ void Endpoint::check_tick() {
 }
 
 void Endpoint::install_singleton() {
+  superseded_ = false;
   max_number_seen_ += 1;
   view_.id = ViewId{max_number_seen_, id()};
   view_.members = {id()};
@@ -105,7 +110,7 @@ void Endpoint::on_message(ProcessId from, const Bytes& payload) {
   try {
     switch (gms::peek_channel(dec)) {
       case gms::Channel::Heartbeat:
-        handle_heartbeat(from);
+        handle_heartbeat(from, dec);
         break;
       case gms::Channel::Membership:
         handle_membership(from, dec);
@@ -133,8 +138,20 @@ void Endpoint::on_message(ProcessId from, const Bytes& payload) {
   }
 }
 
-void Endpoint::handle_heartbeat(ProcessId from) {
+void Endpoint::handle_heartbeat(ProcessId from, Decoder& dec) {
   detector_->on_heartbeat(from);
+  if (dec.remaining() == 0) return;  // bare heartbeat: no view to compare
+  const std::uint64_t peer_epoch = dec.get_varint();
+  // A member of our view already installed a later one: our view was
+  // split without us (a one-way failure let it suspect us while we kept
+  // hearing it). Nobody else may start the merge — we can be the lowest
+  // desired member — so take it up ourselves.
+  if (from == id() || peer_epoch <= view_.id.epoch || !view_.contains(from))
+    return;
+  max_number_seen_ = std::max(max_number_seen_, peer_epoch);
+  if (superseded_) return;
+  superseded_ = true;
+  maybe_coordinate();
 }
 
 void Endpoint::handle_leave(ProcessId from) {
@@ -207,6 +224,7 @@ void Endpoint::handle_propose(ProcessId from, const gms::Propose& msg) {
     // view on our side of the world.
     return;
   }
+  if (from != id() && excludes_heard_member(from, msg.members)) return;
 
   const bool was_blocked = blocked();
   acked_round_ = msg.round;
@@ -231,6 +249,25 @@ void Endpoint::handle_propose(ProcessId from, const gms::Propose& msg) {
   ack.encode(body);
   stats_.ack_bytes += body.size();
   send_framed(from, gms::Channel::Membership, std::move(body));
+}
+
+bool Endpoint::excludes_heard_member(
+    ProcessId proposer, const std::vector<ProcessId>& members) const {
+  // A proposer we started hearing only now (it restarted, or a partition
+  // healed) may simply not have heard the rest of our view yet. Joining
+  // its view would leave a member we still hear behind — alone with
+  // whatever it delivered and acknowledged since — so wait out one
+  // suspect timeout for the proposer to learn of it and for the merged
+  // round to come. Past that, the exclusion stands (a one-way failure).
+  if (now() - detector_->reachable_since(proposer) >=
+      config_.detector.suspect_timeout)
+    return false;
+  for (const ProcessId member : view_.members) {
+    if (member != id() && detector_->is_reachable(member) &&
+        !std::binary_search(members.begin(), members.end(), member))
+      return true;
+  }
+  return false;
 }
 
 void Endpoint::handle_ack(ProcessId from, const gms::Ack& msg) {
@@ -337,6 +374,7 @@ void Endpoint::handle_install(const gms::Install& msg) {
   }
 
   view_ = msg.view;
+  superseded_ = false;
   max_number_seen_ = std::max(max_number_seen_, view_.id.epoch);
   buffer_.clear();
   streams_.clear();
@@ -468,7 +506,7 @@ void Endpoint::maybe_coordinate() {
       gms::admit(config_.policy, view_.members, reachable);
   if (desired.empty()) return;
 
-  const bool needs_change = desired != view_.members;
+  const bool needs_change = desired != view_.members || superseded_;
   const bool stale_block =
       blocked() &&
       now() - blocked_since_ > config_.stale_block_timeout;

@@ -12,8 +12,10 @@
 // Protocol sketch (coordinator-driven, restartable rounds):
 //   * A heartbeat detector tracks a reachable set over a configured
 //     universe of sites. When the reachable set disagrees with the current
-//     view and this process is the minimum of the desired membership, it
-//     starts a round: PROPOSE(round, members).
+//     view — or a heartbeat from a member of the view names a later view,
+//     so the view was split without this process — and this process is
+//     the minimum of the desired membership, it starts a round:
+//     PROPOSE(round, members).
 //   * Members freeze (stop sending and delivering), then ACK with their
 //     prior view id, their buffered ("unstable") messages of that view,
 //     and an opaque flush context supplied by the upper layer (the
@@ -175,13 +177,17 @@ class Endpoint : public runtime::Node {
     std::map<ProcessId, gms::Ack> acks;
   };
 
-  void handle_heartbeat(ProcessId from);
+  void handle_heartbeat(ProcessId from, Decoder& dec);
   void handle_membership(ProcessId from, Decoder& dec);
   void handle_data(ProcessId from, Decoder& dec);
   void handle_stability(ProcessId from, Decoder& dec);
   void handle_leave(ProcessId from);
 
   void handle_propose(ProcessId from, const gms::Propose& msg);
+  /// True while a proposal from a just-heard proposer would drop a member
+  /// of our view that we still hear (see handle_propose).
+  bool excludes_heard_member(ProcessId proposer,
+                             const std::vector<ProcessId>& members) const;
   void handle_ack(ProcessId from, const gms::Ack& msg);
   void handle_install(const gms::Install& msg);
 
@@ -240,6 +246,9 @@ class Endpoint : public runtime::Node {
 
   EndpointStats stats_;
   bool left_ = false;
+  /// A member of the current view reported a later view in a heartbeat:
+  /// this view is dead even though the reachable set still matches it.
+  bool superseded_ = false;
 };
 
 }  // namespace evs::vsync

@@ -80,6 +80,34 @@ TEST(Vsync, MergeAfterHealFormsSingleView) {
   EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
 }
 
+// A one-way failure splits the view without the excluded member noticing:
+// p0's messages to p1 and p2 are dropped for longer than the suspect
+// timeout, so p1 and p2 suspect p0 and install {p1,p2}, while p0 keeps
+// hearing their heartbeats and stays in the old 3-view it believes is
+// current. After the block ends, p1 and p2 want p0 back but leave the
+// round to the lowest desired member, p0, whose view already equals its
+// reachable set. The view epoch in their heartbeats tells p0 that
+// members of its view moved on, so it starts the merge.
+TEST(Vsync, OneWayBlockSplitReMergesAfterUnblock) {
+  Cluster c({.sites = 3, .seed = 32});
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  const ViewId before = c.ep(0).view().id;
+  auto& net = c.world().network();
+  net.block_link(c.site(0), c.site(1));
+  net.block_link(c.site(0), c.site(2));
+  ASSERT_TRUE(c.await_stable_view({1, 2}, 5 * kSecond));
+  EXPECT_EQ(c.ep(1).view().size(), 2u);
+  // p0 never suspected anyone: it still sits in the split-off view.
+  EXPECT_EQ(c.ep(0).view().id, before);
+  net.unblock_link(c.site(0), c.site(1));
+  net.unblock_link(c.site(0), c.site(2));
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}, 10 * kSecond))
+      << "p0 in " << to_string(c.ep(0).view().id) << ", p1 in "
+      << to_string(c.ep(1).view().id);
+  EXPECT_GT(c.ep(0).view().id, before);
+  EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+}
+
 TEST(Vsync, IsolatedMinoritySideFormsSingleton) {
   Cluster c({.sites = 3});
   ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
