@@ -1,12 +1,14 @@
-// SUBSTRATE — view-synchronous multicast cost under the three ordering
-// layers (Section 2 notes view synchrony imposes no order; the layers are
-// what applications add on top, and what EVS's total order costs).
+// SUBSTRATE — view-synchronous multicast cost under the three orderings
+// (Section 2 notes view synchrony imposes no order; FIFO is what the bare
+// endpoint gives, causal is order::CausalLayer on top, and total order is
+// EvsEndpoint's forward+stamp sequencer — what EVS's P6.1/P6.2 cost).
 //
 // A stable group of n members exchanges a fixed number of multicasts; we
 // report, per configuration:
 //   - simulated mean delivery latency (multicast -> delivered at all),
 //   - physical messages the network carried per application multicast,
-//   - ordering-metadata overhead bytes per multicast,
+//   - ordering-metadata overhead bytes per multicast (causal only: the one
+//     layer that reports it),
 //   - frame encodes per multicast (encode-once fan-out: ~1, not n-1),
 //   - payload buffers shared vs copied on the wire path.
 // Expected shape: FIFO ~ cheapest (n-1 messages, no metadata); causal adds
@@ -17,8 +19,10 @@
 // wire carries.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
+#include "evs/endpoint.hpp"
 #include "obs/dump.hpp"
 #include "order/layers.hpp"
 #include "sim/world.hpp"
@@ -26,14 +30,55 @@
 namespace evs::bench {
 namespace {
 
-class CountingDelegate : public order::OrderDelegate {
+class CountingDelegate : public vsync::Delegate, public core::EvsDelegate {
  public:
   void on_view(const gms::View&, const vsync::InstallInfo&) override {}
   void on_deliver(ProcessId, const Bytes&) override { ++delivered; }
+  void on_eview(const core::EView&) override {}
+  void on_app_deliver(ProcessId, const Bytes&) override { ++delivered; }
   std::uint64_t delivered = 0;
 };
 
-template <typename Layer>
+// One group member per ordering: spawns its stack at `site` and exposes
+// the endpoint, the send call and, where a layer reports one, its stats.
+struct FifoMember {
+  FifoMember(sim::World& world, SiteId site, const vsync::EndpointConfig& cfg)
+      : endpoint(world.spawn<vsync::Endpoint>(site, cfg)) {
+    endpoint.set_delegate(&counter);
+  }
+  void multicast(Bytes payload) { endpoint.multicast(std::move(payload)); }
+
+  vsync::Endpoint& endpoint;
+  CountingDelegate counter;
+};
+
+struct CausalMember {
+  CausalMember(sim::World& world, SiteId site, const vsync::EndpointConfig& cfg)
+      : endpoint(world.spawn<vsync::Endpoint>(site, cfg)),
+        layer(endpoint, counter) {}
+  void multicast(Bytes payload) { layer.multicast(std::move(payload)); }
+  const order::LayerStats& stats() const { return layer.stats(); }
+
+  vsync::Endpoint& endpoint;
+  CountingDelegate counter;
+  order::CausalLayer layer;
+};
+
+struct TotalMember {
+  TotalMember(sim::World& world, SiteId site, const vsync::EndpointConfig& cfg)
+      : endpoint(world.spawn<core::EvsEndpoint>(site, cfg)) {
+    endpoint.set_evs_delegate(&counter);
+  }
+  void multicast(Bytes payload) { endpoint.app_multicast(std::move(payload)); }
+
+  core::EvsEndpoint& endpoint;
+  CountingDelegate counter;
+};
+
+template <typename Member>
+constexpr bool kReportsOverhead = requires(const Member& m) { m.stats(); };
+
+template <typename Member>
 void MulticastBench(benchmark::State& state, const char* tag) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   constexpr int kMessages = 200;
@@ -53,13 +98,11 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     vsync::EndpointConfig cfg;
     cfg.universe = sites;
 
+    std::vector<std::unique_ptr<Member>> members;
     std::vector<vsync::Endpoint*> eps;
-    std::vector<std::unique_ptr<CountingDelegate>> delegates;
-    std::vector<std::unique_ptr<Layer>> layers;
     for (const SiteId site : sites) {
-      eps.push_back(&world.spawn<vsync::Endpoint>(site, cfg));
-      delegates.push_back(std::make_unique<CountingDelegate>());
-      layers.push_back(std::make_unique<Layer>(*eps.back(), *delegates.back()));
+      members.push_back(std::make_unique<Member>(world, site, cfg));
+      eps.push_back(&members.back()->endpoint);
     }
     // Group formation.
     for (int i = 0; i < 3000; ++i) {
@@ -75,7 +118,7 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     for (auto* ep : eps) frames_before += ep->stats().frames_encoded;
     const SimTime t0 = world.scheduler().now();
     for (int m = 0; m < kMessages; ++m) {
-      layers[static_cast<std::size_t>(m) % n]->multicast(
+      members[static_cast<std::size_t>(m) % n]->multicast(
           to_bytes("payload-" + std::to_string(m)));
       world.run_for(2 * kMillisecond);
     }
@@ -83,7 +126,7 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     const std::uint64_t want = static_cast<std::uint64_t>(kMessages) * n;
     for (int i = 0; i < 3000; ++i) {
       std::uint64_t got = 0;
-      for (auto& d : delegates) got += d->delivered;
+      for (auto& member : members) got += member->counter.delivered;
       if (got >= want) break;
       world.run_for(10 * kMillisecond);
     }
@@ -105,10 +148,12 @@ void MulticastBench(benchmark::State& state, const char* tag) {
     std::uint64_t frames = 0;
     for (auto* ep : eps) frames += ep->stats().frames_encoded;
     frames_per_mc += static_cast<double>(frames - frames_before) / kMessages;
-    double overhead = 0;
-    for (auto& layer : layers)
-      overhead += static_cast<double>(layer->stats().overhead_bytes);
-    overhead_per_mc += overhead / kMessages;
+    if constexpr (kReportsOverhead<Member>) {
+      double overhead = 0;
+      for (auto& member : members)
+        overhead += static_cast<double>(member->stats().overhead_bytes);
+      overhead_per_mc += overhead / kMessages;
+    }
     ++runs;
 
     if (!obs::trace_out_dir().empty()) {
@@ -116,10 +161,13 @@ void MulticastBench(benchmark::State& state, const char* tag) {
       // automatically by the World when EVS_TRACE_OUT is set; it never
       // perturbs the wire path, so the counters above are unaffected).
       world.network().export_metrics(world.metrics());
-      for (std::size_t i = 0; i < eps.size(); ++i) {
-        eps[i]->export_metrics(world.metrics(), "p" + std::to_string(i));
-        order::export_metrics(layers[i]->stats(), world.metrics(),
-                              "p" + std::to_string(i) + ".order");
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const std::string prefix = "p" + std::to_string(i);
+        members[i]->endpoint.export_metrics(world.metrics(), prefix);
+        if constexpr (kReportsOverhead<Member>) {
+          order::export_metrics(members[i]->stats(), world.metrics(),
+                                prefix + ".order");
+        }
       }
       world.dump_trace(std::string("substrate_") + tag + "_n" +
                        std::to_string(n));
@@ -128,7 +176,8 @@ void MulticastBench(benchmark::State& state, const char* tag) {
 
   state.counters["sim_ms_per_mc"] = latency_ms / runs;
   state.counters["net_msgs_per_mc"] = net_msgs_per_mc / runs;
-  state.counters["overhead_bytes_per_mc"] = overhead_per_mc / runs;
+  if constexpr (kReportsOverhead<Member>)
+    state.counters["overhead_bytes_per_mc"] = overhead_per_mc / runs;
   state.counters["wire_bytes_per_mc"] = wire_bytes_per_mc / runs;
   state.counters["frames_encoded_per_mc"] = frames_per_mc / runs;
   state.counters["payload_copies_per_mc"] = copies_per_mc / runs;
@@ -136,13 +185,13 @@ void MulticastBench(benchmark::State& state, const char* tag) {
 }
 
 void FifoOrder(benchmark::State& state) {
-  MulticastBench<order::FifoLayer>(state, "fifo");
+  MulticastBench<FifoMember>(state, "fifo");
 }
 void CausalOrder(benchmark::State& state) {
-  MulticastBench<order::CausalLayer>(state, "causal");
+  MulticastBench<CausalMember>(state, "causal");
 }
 void TotalOrder(benchmark::State& state) {
-  MulticastBench<order::TotalLayer>(state, "total");
+  MulticastBench<TotalMember>(state, "total");
 }
 
 BENCHMARK(FifoOrder)->Arg(8)->Arg(16)->Arg(32)

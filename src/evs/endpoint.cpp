@@ -29,9 +29,9 @@ EvsEndpoint::EvsEndpoint(vsync::EndpointConfig config)
 // ------------------------------------------------------------- sending ---
 
 void EvsEndpoint::app_multicast(Bytes payload) {
-  if (blocked()) {
-    // Do not ride the vsync send queue: frames must be built in the view
-    // they will travel in (the sequencer changes across views).
+  if (deferring()) {
+    // Do not ride the vsync send queue: frames must be built in the e-view
+    // they will travel in (the sequencer and lseq_ change across views).
     app_queue_.push_back(std::move(payload));
     return;
   }
@@ -58,29 +58,16 @@ void EvsEndpoint::send_app(Bytes payload) {
 
 void EvsEndpoint::request_sv_set_merge(std::vector<SvSetId> svsets) {
   ++evs_stats_.merges_requested;
-  MergeRequest request{EvOp::Kind::SvSetMerge, std::move(svsets), {}};
-  if (blocked()) {
-    merge_queue_.push_back(std::move(request));
-    return;
-  }
-  if (is_sequencer()) {
-    sequence_merge(request);
-    return;
-  }
-  Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(Tag::MergeReq));
-  enc.put_u8(static_cast<std::uint8_t>(request.kind));
-  enc.put_vector(request.svsets,
-                 [](Encoder& e, SvSetId s) { e.put_svset_id(s); });
-  enc.put_vector(request.subviews,
-                 [](Encoder& e, SubviewId s) { e.put_subview_id(s); });
-  multicast(std::move(enc).take());
+  submit_merge({EvOp::Kind::SvSetMerge, std::move(svsets), {}});
 }
 
 void EvsEndpoint::request_subview_merge(std::vector<SubviewId> subviews) {
   ++evs_stats_.merges_requested;
-  MergeRequest request{EvOp::Kind::SubviewMerge, {}, std::move(subviews)};
-  if (blocked()) {
+  submit_merge({EvOp::Kind::SubviewMerge, {}, std::move(subviews)});
+}
+
+void EvsEndpoint::submit_merge(MergeRequest request) {
+  if (deferring()) {
     merge_queue_.push_back(std::move(request));
     return;
   }
@@ -188,8 +175,8 @@ void EvsEndpoint::dispatch_deliver(ProcessId sender, const Bytes& payload) {
 void EvsEndpoint::handle_fwd(ProcessId sender, Decoder& dec) {
   const std::uint64_t lseq = dec.get_varint();
   Bytes body = dec.get_bytes();
+  if (lseq <= stamped_upto_[sender]) return;  // stamped copy already seen
   const MsgKey key{sender, lseq};
-  if (delivered_keys_.contains(key)) return;  // stamped copy already seen
   unordered_.emplace(key, std::move(body));
   if (is_sequencer() && !blocked()) {
     const auto it = unordered_.find(key);
@@ -208,9 +195,10 @@ void EvsEndpoint::handle_stamped(Decoder& dec) {
   const ProcessId origin = dec.get_process();
   const std::uint64_t lseq = dec.get_varint();
   Bytes body = dec.get_bytes();
-  const MsgKey key{origin, lseq};
-  if (!delivered_keys_.insert(key).second) return;  // duplicate
-  unordered_.erase(key);
+  std::uint64_t& upto = stamped_upto_[origin];
+  if (lseq <= upto) return;  // duplicate
+  upto = lseq;
+  unordered_.erase({origin, lseq});
   deliver_app(origin, body);
 }
 
@@ -285,7 +273,8 @@ void EvsEndpoint::on_block() {
 void EvsEndpoint::on_view(const gms::View& view, const vsync::InstallInfo& info) {
   // 1. Drain app messages that never got stamped — deterministic order,
   //    identical set at every survivor (Agreement). Still the old e-view
-  //    from the application's perspective.
+  //    from the application's perspective, so sends and merge requests
+  //    made from these deliveries are queued (deferring()) for step 5.
   evs_stats_.drained_at_view += unordered_.size();
   if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
     if (!unordered_.empty()) {
@@ -302,7 +291,7 @@ void EvsEndpoint::on_view(const gms::View& view, const vsync::InstallInfo& info)
     }
   }
   unordered_.clear();
-  delivered_keys_.clear();
+  stamped_upto_.clear();
   lseq_ = 0;
 
   // 2. Decode every member's frozen structure context.
@@ -341,22 +330,16 @@ void EvsEndpoint::on_view(const gms::View& view, const vsync::InstallInfo& info)
   }
   emit_eview();
 
-  // 5. Re-issue work that was queued while frozen, in the new view.
+  // 5. Re-issue work that was queued while deferring, in the new e-view.
   while (!app_queue_.empty() && !blocked()) {
     Bytes payload = std::move(app_queue_.front());
     app_queue_.pop_front();
     send_app(std::move(payload));
   }
   while (!merge_queue_.empty() && !blocked()) {
-    const MergeRequest request = std::move(merge_queue_.front());
+    MergeRequest request = std::move(merge_queue_.front());
     merge_queue_.pop_front();
-    if (request.kind == EvOp::Kind::SvSetMerge) {
-      --evs_stats_.merges_requested;  // re-request counts once
-      request_sv_set_merge(request.svsets);
-    } else {
-      --evs_stats_.merges_requested;
-      request_subview_merge(request.subviews);
-    }
+    submit_merge(std::move(request));
   }
 }
 

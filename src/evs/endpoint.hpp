@@ -9,10 +9,12 @@
 //     FIFO from a single source totally orders them within the view.
 //
 //   Causal Order / consistent cuts (P6.2): *application* multicasts are
-//     also routed through the sequencer (forward + stamp, exactly like
-//     order::TotalLayer), so the interleaving of app messages and e-view
-//     changes is the sequencer's single FIFO stream — identical at every
-//     member, hence every e-view change falls on a consistent cut.
+//     also routed through the sequencer: a member multicasts its payload
+//     unstamped (Fwd), the sequencer re-multicasts it stamped, and every
+//     member delivers in stamp order. The interleaving of app messages and
+//     e-view changes is thus the sequencer's single FIFO stream — identical
+//     at every member, hence every e-view change falls on a consistent cut.
+//     This is the repo's only total-order implementation.
 //
 //   Structure (P6.3): each member's flush context carries its frozen
 //     structure + applied e-view count; at install every member runs the
@@ -29,7 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "evs/structure.hpp"
@@ -129,8 +131,14 @@ class EvsEndpoint : public vsync::Endpoint, private vsync::Delegate {
   void on_block() override;
 
   bool is_sequencer() const { return view().primary() == id(); }
+  /// True while new sends must wait for the next e-view: the endpoint is
+  /// frozen for a view change, or on_view is still draining the old view's
+  /// unstamped messages (the transport has installed the new view, the
+  /// e-view has not).
+  bool deferring() const { return blocked() || eview_.view.id != view().id; }
   void dispatch_deliver(ProcessId sender, const Bytes& payload);
   void send_app(Bytes payload);
+  void submit_merge(MergeRequest request);
   void handle_fwd(ProcessId sender, Decoder& dec);
   void handle_stamped(Decoder& dec);
   void handle_ev_change(Decoder& dec);
@@ -143,13 +151,19 @@ class EvsEndpoint : public vsync::Endpoint, private vsync::Delegate {
   EView eview_;
   std::uint64_t mint_counter_ = 0;  // persistent across views
 
-  // Per-view total-order state (mirrors order::TotalLayer).
+  // Per-view total-order state. `lseq_` numbers this member's sends from 1
+  // in every view. `stamped_upto_` is the highest lseq stamped per origin:
+  // the sequencer stamps each origin's Fwds in FIFO order and stops for
+  // the rest of the view once blocked, so an origin's stamped lseqs are
+  // always a prefix 1..upto and any Fwd or Stamped at or below the mark is
+  // a duplicate. `unordered_` holds Fwds still waiting for their stamp.
   using MsgKey = std::pair<ProcessId, std::uint64_t>;
   std::uint64_t lseq_ = 0;
   std::map<MsgKey, Bytes> unordered_;
-  std::set<MsgKey> delivered_keys_;
+  std::unordered_map<ProcessId, std::uint64_t> stamped_upto_;
 
-  // Work queued while the endpoint is frozen for a view change.
+  // Work queued while deferring() (see above), re-issued after the next
+  // e-view is delivered.
   std::deque<Bytes> app_queue_;
   std::deque<MergeRequest> merge_queue_;
 

@@ -8,12 +8,8 @@ namespace evs::order {
 
 namespace {
 
-enum class Tag : std::uint8_t {
-  Plain = 1,    // FifoLayer payload
-  Causal = 2,   // vector clock + payload
-  Forward = 3,  // total order: unstamped send
-  Stamped = 4,  // total order: sequencer's stamped copy
-};
+// Leading byte of every CausalLayer frame: [tag][vector clock][payload].
+constexpr std::uint8_t kCausalTag = 2;
 
 }  // namespace
 
@@ -26,42 +22,7 @@ void export_metrics(const LayerStats& stats, obs::MetricsRegistry& registry,
   registry.counter(prefix + ".overhead_bytes").set(stats.overhead_bytes);
 }
 
-// ---------------------------------------------------------------- Fifo ---
-
-FifoLayer::FifoLayer(vsync::Endpoint& endpoint, OrderDelegate& up)
-    : endpoint_(endpoint), up_(up) {
-  endpoint_.set_delegate(this);
-}
-
-void FifoLayer::multicast(Bytes payload) {
-  ++stats_.sent;
-  Encoder enc;
-  enc.reserve(payload.size() + 8);
-  enc.put_u8(static_cast<std::uint8_t>(Tag::Plain));
-  enc.put_bytes(payload);
-  stats_.overhead_bytes += enc.size() - payload.size();
-  endpoint_.multicast(std::move(enc).take());
-}
-
-void FifoLayer::on_view(const gms::View& view, const vsync::InstallInfo& info) {
-  up_.on_view(view, info);
-}
-
-void FifoLayer::on_deliver(ProcessId sender, const Bytes& payload) {
-  Decoder dec(payload);
-  if (static_cast<Tag>(dec.get_u8()) != Tag::Plain)
-    throw DecodeError("FifoLayer: unexpected tag");
-  ++stats_.delivered;
-  up_.on_deliver(sender, dec.get_bytes());
-}
-
-void FifoLayer::on_block() { up_.on_block(); }
-
-Bytes FifoLayer::flush_context() { return up_.flush_context(); }
-
-// -------------------------------------------------------------- Causal ---
-
-CausalLayer::CausalLayer(vsync::Endpoint& endpoint, OrderDelegate& up)
+CausalLayer::CausalLayer(vsync::Endpoint& endpoint, vsync::Delegate& up)
     : endpoint_(endpoint), up_(up) {
   endpoint_.set_delegate(this);
 }
@@ -75,7 +36,7 @@ void CausalLayer::multicast(Bytes payload) {
   ++stats_.sent;
   Encoder enc;
   enc.reserve(payload.size() + 10 * stamp.size() + 8);
-  enc.put_u8(static_cast<std::uint8_t>(Tag::Causal));
+  enc.put_u8(kCausalTag);
   stamp.encode(enc);
   enc.put_bytes(payload);
   stats_.overhead_bytes += enc.size() - payload.size();
@@ -85,7 +46,7 @@ void CausalLayer::multicast(Bytes payload) {
 
 void CausalLayer::on_deliver(ProcessId sender, const Bytes& payload) {
   Decoder dec(payload);
-  if (static_cast<Tag>(dec.get_u8()) != Tag::Causal)
+  if (dec.get_u8() != kCausalTag)
     throw DecodeError("CausalLayer: unexpected tag");
   Held held;
   held.sender = sender;
@@ -156,101 +117,5 @@ void CausalLayer::on_view(const gms::View& view, const vsync::InstallInfo& info)
 void CausalLayer::on_block() { up_.on_block(); }
 
 Bytes CausalLayer::flush_context() { return up_.flush_context(); }
-
-// --------------------------------------------------------------- Total ---
-
-TotalLayer::TotalLayer(vsync::Endpoint& endpoint, OrderDelegate& up)
-    : endpoint_(endpoint), up_(up) {
-  endpoint_.set_delegate(this);
-}
-
-bool TotalLayer::is_sequencer() const {
-  return endpoint_.view().primary() == endpoint_.id();
-}
-
-void TotalLayer::multicast(Bytes payload) {
-  ++stats_.sent;
-  const std::uint64_t seq = ++lseq_;
-  Encoder enc;
-  enc.reserve(payload.size() + 32);
-  if (is_sequencer()) {
-    // The sequencer stamps its own sends directly.
-    enc.put_u8(static_cast<std::uint8_t>(Tag::Stamped));
-    enc.put_process(endpoint_.id());
-    enc.put_varint(seq);
-    enc.put_varint(++gseq_out_);
-    enc.put_bytes(payload);
-  } else {
-    enc.put_u8(static_cast<std::uint8_t>(Tag::Forward));
-    enc.put_varint(seq);
-    enc.put_bytes(payload);
-  }
-  stats_.overhead_bytes += enc.size() - payload.size();
-  endpoint_.multicast(std::move(enc).take());
-}
-
-void TotalLayer::on_deliver(ProcessId sender, const Bytes& payload) {
-  Decoder dec(payload);
-  const Tag tag = static_cast<Tag>(dec.get_u8());
-  if (tag == Tag::Forward) {
-    const std::uint64_t lseq = dec.get_varint();
-    Bytes body = dec.get_bytes();
-    const MsgKey key{sender, lseq};
-    if (delivered_keys_.contains(key)) return;  // stamped copy came first
-    unordered_.emplace(key, std::move(body));
-    // Sequencer stamps it (unless frozen — then the view-change drain will
-    // deliver it deterministically).
-    if (is_sequencer() && !endpoint_.blocked()) {
-      const auto it = unordered_.find(key);
-      Encoder enc;
-      enc.reserve(it->second.size() + 32);
-      enc.put_u8(static_cast<std::uint8_t>(Tag::Stamped));
-      enc.put_process(sender);
-      enc.put_varint(lseq);
-      enc.put_varint(++gseq_out_);
-      enc.put_bytes(it->second);
-      stats_.overhead_bytes += enc.size() - it->second.size();
-      endpoint_.multicast(std::move(enc).take());
-    }
-    return;
-  }
-  if (tag != Tag::Stamped) throw DecodeError("TotalLayer: unexpected tag");
-  const ProcessId origin = dec.get_process();
-  const std::uint64_t lseq = dec.get_varint();
-  dec.get_varint();  // gseq: FIFO from the sequencer already orders these
-  Bytes body = dec.get_bytes();
-  const MsgKey key{origin, lseq};
-  if (delivered_keys_.contains(key)) return;  // duplicate stamp
-  delivered_keys_.insert(key);
-  unordered_.erase(key);
-  deliver(origin, body);
-}
-
-void TotalLayer::deliver(ProcessId origin, const Bytes& payload) {
-  ++stats_.delivered;
-  up_.on_deliver(origin, payload);
-}
-
-void TotalLayer::on_view(const gms::View& view, const vsync::InstallInfo& info) {
-  // Forwards that never got stamped: every survivor holds the same set
-  // (Agreement), delivered here in deterministic (origin, lseq) order.
-  stats_.drained_at_view += unordered_.size();
-  if (auto* bus = endpoint_.trace(); bus != nullptr && bus->enabled()) {
-    if (!unordered_.empty()) {
-      bus->record({endpoint_.now(), endpoint_.id(), obs::EventKind::OrderDrain,
-                   view.id, {}, 0, unordered_.size()});
-    }
-  }
-  for (const auto& [key, body] : unordered_) deliver(key.first, body);
-  unordered_.clear();
-  delivered_keys_.clear();
-  lseq_ = 0;
-  gseq_out_ = 0;
-  up_.on_view(view, info);
-}
-
-void TotalLayer::on_block() { up_.on_block(); }
-
-Bytes TotalLayer::flush_context() { return up_.flush_context(); }
 
 }  // namespace evs::order

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -24,6 +26,48 @@ std::vector<SubviewId> all_subviews(const EViewStructure& s) {
   std::vector<SubviewId> ids;
   for (const auto& sv : s.subviews()) ids.push_back(sv.id);
   return ids;
+}
+
+std::vector<std::string> delivered_payloads(const EvsRecorder& rec) {
+  std::vector<std::string> out;
+  for (const auto& d : rec.deliveries()) out.push_back(d.payload);
+  return out;
+}
+
+// Stands in for a site's recorder as its endpoint's delegate: records as
+// the recorder does, then calls `react` for every delivered payload that
+// starts with 's'. Restores the recorder as delegate when destroyed.
+class ReactingDelegate : public core::EvsDelegate {
+ public:
+  ReactingDelegate(EvsRecorder& rec,
+                   std::function<void(const std::string&)> react)
+      : rec_(rec), react_(std::move(react)) {
+    rec_.endpoint().set_evs_delegate(this);
+  }
+  ~ReactingDelegate() override { rec_.endpoint().set_evs_delegate(&rec_); }
+  ReactingDelegate(const ReactingDelegate&) = delete;
+  ReactingDelegate& operator=(const ReactingDelegate&) = delete;
+
+  void on_eview(const EView& eview) override { rec_.on_eview(eview); }
+  void on_app_deliver(ProcessId sender, const Bytes& payload) override {
+    rec_.on_app_deliver(sender, payload);
+    const std::string text = to_string(payload);
+    if (text.rfind('s', 0) == 0) react_(text);
+  }
+
+ private:
+  EvsRecorder& rec_;
+  std::function<void(const std::string&)> react_;
+};
+
+// The drain scenario: site 2 forwards s0..s9 and the sequencer (site 0)
+// crashes before stamping any, so sites 1 and 2 deliver them from
+// on_view's drain of unstamped messages — where site 1's delegate reacts.
+void crash_sequencer_with_unstamped_sends(EvsCluster& c) {
+  for (int i = 0; i < 10; ++i) c.rec(2).multicast("s" + std::to_string(i));
+  c.world().crash_site(c.site(0));
+  ASSERT_TRUE(c.await_stable_view({1, 2}));
+  c.world().run_for(2 * kSecond);
 }
 
 TEST(Evs, FreshGroupIsAllSingletons) {
@@ -288,6 +332,105 @@ TEST(Evs, AppTrafficSurvivesViewChange) {
     std::set<std::string> uniq(got.begin(), got.end());
     EXPECT_EQ(uniq.size(), got.size()) << "duplicate delivery at member " << i;
   }
+}
+
+TEST(Evs, ReplyNeverOvertakesItsCause) {
+  // Site 0 sends a ping; site 1 replies the moment it delivers it. Under
+  // heavy jitter every member must still deliver ping before pong.
+  sim::NetworkConfig net;
+  net.mean_jitter_us = 20'000.0;
+  EvsCluster c({.sites = 4, .seed = 4, .net = net});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  for (int r = 0; r < 10; ++r) {
+    const std::string ping = "ping-" + std::to_string(r);
+    const std::string pong = "pong-" + std::to_string(r);
+    auto position = [&](std::size_t i, const std::string& payload) {
+      const auto got = delivered_payloads(c.rec(i));
+      const auto it = std::find(got.begin(), got.end(), payload);
+      return it == got.end() ? -1 : static_cast<int>(it - got.begin());
+    };
+    c.rec(0).multicast(ping);
+    ASSERT_TRUE(c.await([&]() { return position(1, ping) >= 0; },
+                        10 * kSecond, 1 * kMillisecond));
+    c.rec(1).multicast(pong);
+    ASSERT_TRUE(c.await([&]() {
+      for (std::size_t i = 0; i < 4; ++i)
+        if (position(i, pong) < 0) return false;
+      return true;
+    }));
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_LT(position(i, ping), position(i, pong)) << "member " << i;
+  }
+}
+
+TEST(Evs, SequencerCrashDoesNotLoseSurvivorMessages) {
+  // The sequencer is the primary = lowest id = site 0. Survivors keep
+  // sending while it dies.
+  EvsCluster c({.sites = 3, .seed = 6});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  for (int r = 0; r < 10; ++r) c.rec(1).multicast("s" + std::to_string(r));
+  c.world().crash_site(c.site(0));
+  ASSERT_TRUE(c.await_stable_view({1, 2}));
+  c.world().run_for(5 * kSecond);
+  // Both survivors deliver all 10, in the same order.
+  EXPECT_EQ(delivered_payloads(c.rec(1)).size(), 10u);
+  EXPECT_EQ(delivered_payloads(c.rec(1)), delivered_payloads(c.rec(2)));
+}
+
+TEST(Evs, AppSendDuringDrainKeepsTotalOrder) {
+  // Site 1 replies r<i> to every s<i> it delivers — here from inside the
+  // view change's drain, before the new e-view exists. Those replies must
+  // be ordered in the new view like any other send.
+  EvsCluster c({.sites = 3, .seed = 6});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  ReactingDelegate echo(c.rec(1), [&](const std::string& s) {
+    c.rec(1).multicast("r" + s.substr(1));
+  });
+  crash_sequencer_with_unstamped_sends(c);
+  EXPECT_EQ(delivered_payloads(c.rec(1)).size(), 20u);
+  EXPECT_EQ(delivered_payloads(c.rec(1)), delivered_payloads(c.rec(2)));
+}
+
+TEST(Evs, SequencerSendDuringDrainIsDeliveredEverywhere) {
+  // Site 1 becomes the sequencer of the new view while its drain replies
+  // are being sent; its later sends must not be mistaken for duplicates of
+  // those replies anywhere.
+  EvsCluster c({.sites = 3, .seed = 6});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  for (int i = 0; i < 10; ++i) c.rec(1).multicast("a" + std::to_string(i));
+  c.world().run_for(1 * kSecond);
+  ReactingDelegate echo(c.rec(1), [&](const std::string& s) {
+    c.rec(1).multicast("r" + s.substr(1));
+  });
+  crash_sequencer_with_unstamped_sends(c);
+  for (int i = 0; i < 20; ++i) c.rec(1).multicast("t" + std::to_string(i));
+  c.world().run_for(2 * kSecond);
+  EXPECT_EQ(delivered_payloads(c.rec(1)).size(), 50u);
+  EXPECT_EQ(delivered_payloads(c.rec(2)).size(), 50u);
+  EXPECT_EQ(delivered_payloads(c.rec(1)), delivered_payloads(c.rec(2)));
+}
+
+TEST(Evs, MergeRequestedDuringDrainKeepsStructuresAgreeing) {
+  // Site 1 asks to merge everything on every s<i> it delivers — from
+  // inside the drain, against the dying view's structure. The survivors'
+  // structures must agree afterwards and still merge to degenerate.
+  EvsCluster c({.sites = 3, .seed = 6});
+  ASSERT_TRUE(c.await_stable_view(c.all_indices()));
+  ReactingDelegate merger(
+      c.rec(1), [&](const std::string&) { c.ep(1).request_merge_all(); });
+  crash_sequencer_with_unstamped_sends(c);
+  EXPECT_EQ(delivered_payloads(c.rec(1)), delivered_payloads(c.rec(2)));
+  ASSERT_TRUE(c.structures_agree({1, 2}));
+  c.ep(1).request_merge_all();
+  ASSERT_TRUE(c.await([&]() {
+    return c.ep(1).eview().structure.svsets().size() == 1 &&
+           c.structures_agree({1, 2});
+  }));
+  c.ep(1).request_merge_all();
+  ASSERT_TRUE(c.await([&]() {
+    return c.ep(1).eview().degenerate() && c.structures_agree({1, 2});
+  }));
+  EXPECT_TRUE(c.ep(2).eview().degenerate());
 }
 
 TEST(Evs, MergeRequestedDuringViewChangeIsReissued) {

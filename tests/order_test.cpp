@@ -62,7 +62,7 @@ TEST(VectorClock, CodecRoundTrip) {
 
 // ------------------------------------------------------- layer fixtures ---
 
-class OrderRecorder : public OrderDelegate {
+class OrderRecorder : public vsync::Delegate {
  public:
   struct Delivery {
     ProcessId sender;
@@ -78,16 +78,12 @@ class OrderRecorder : public OrderDelegate {
   std::vector<Delivery> deliveries;
 };
 
-// A node that, upon delivering "ping", immediately multicasts "pong-<i>".
-// Used to build genuine causal chains across processes.
-template <typename Layer>
 struct Node {
   vsync::Endpoint* endpoint = nullptr;
   std::unique_ptr<OrderRecorder> recorder;
-  std::unique_ptr<Layer> layer;
+  std::unique_ptr<CausalLayer> layer;
 };
 
-template <typename Layer>
 struct LayerCluster {
   explicit LayerCluster(std::size_t n, std::uint64_t seed = 1,
                         sim::NetworkConfig net = {})
@@ -96,10 +92,10 @@ struct LayerCluster {
     vsync::EndpointConfig cfg;
     cfg.universe = sites;
     for (const SiteId site : sites) {
-      Node<Layer> node;
+      Node node;
       node.endpoint = &world.spawn<vsync::Endpoint>(site, cfg);
       node.recorder = std::make_unique<OrderRecorder>();
-      node.layer = std::make_unique<Layer>(*node.endpoint, *node.recorder);
+      node.layer = std::make_unique<CausalLayer>(*node.endpoint, *node.recorder);
       nodes.push_back(std::move(node));
     }
   }
@@ -123,27 +119,12 @@ struct LayerCluster {
 
   sim::World world;
   std::vector<SiteId> sites;
-  std::vector<Node<Layer>> nodes;
+  std::vector<Node> nodes;
 };
-
-TEST(FifoLayer, PassThroughDeliversEverything) {
-  LayerCluster<FifoLayer> c(3);
-  ASSERT_TRUE(c.await_group());
-  for (int i = 0; i < 10; ++i)
-    c.nodes[0].layer->multicast(to_bytes("m" + std::to_string(i)));
-  c.world.run_for(2 * kSecond);
-  for (auto& node : c.nodes) {
-    ASSERT_EQ(node.recorder->deliveries.size(), 10u);
-    for (int i = 0; i < 10; ++i)
-      EXPECT_EQ(node.recorder->deliveries[i].payload, "m" + std::to_string(i));
-  }
-}
 
 // Drives a causal chain: node 0 sends "ping", node 1 replies "pong" as
 // soon as it delivers the ping. Every member must deliver ping before pong.
-template <typename Layer>
-void run_causal_chain(LayerCluster<Layer>& c, int rounds,
-                      bool expect_causal) {
+void run_causal_chain(LayerCluster& c, int rounds) {
   ASSERT_TRUE(c.await_group());
   int violations = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -187,71 +168,18 @@ void run_causal_chain(LayerCluster<Layer>& c, int rounds,
       if (pong_at < ping_at) ++violations;
     }
   }
-  if (expect_causal) {
-    EXPECT_EQ(violations, 0);
-  }
+  EXPECT_EQ(violations, 0);
 }
 
 TEST(CausalLayer, ReplyNeverOvertakesItsCause) {
   sim::NetworkConfig net;
   net.mean_jitter_us = 20'000.0;  // heavy jitter to tempt reordering
-  LayerCluster<CausalLayer> c(4, 3, net);
-  run_causal_chain(c, 10, /*expect_causal=*/true);
-}
-
-TEST(TotalLayer, ReplyNeverOvertakesItsCause) {
-  sim::NetworkConfig net;
-  net.mean_jitter_us = 20'000.0;
-  LayerCluster<TotalLayer> c(4, 4, net);
-  run_causal_chain(c, 10, /*expect_causal=*/true);
-}
-
-TEST(TotalLayer, AllMembersDeliverSameGlobalSequence) {
-  sim::NetworkConfig net;
-  net.mean_jitter_us = 10'000.0;
-  LayerCluster<TotalLayer> c(4, 5, net);
-  ASSERT_TRUE(c.await_group());
-  // Everyone sends concurrently.
-  for (int r = 0; r < 20; ++r) {
-    for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-      c.nodes[i].layer->multicast(
-          to_bytes("n" + std::to_string(i) + "-" + std::to_string(r)));
-    }
-    c.world.run_for(5 * kMillisecond);
-  }
-  c.world.run_for(5 * kSecond);
-  const std::size_t expected = c.nodes.size() * 20;
-  std::vector<std::string> reference;
-  for (const auto& d : c.nodes[0].recorder->deliveries)
-    reference.push_back(d.payload);
-  ASSERT_EQ(reference.size(), expected);
-  for (auto& node : c.nodes) {
-    std::vector<std::string> got;
-    for (const auto& d : node.recorder->deliveries) got.push_back(d.payload);
-    EXPECT_EQ(got, reference);
-  }
-}
-
-TEST(TotalLayer, SequencerCrashDoesNotLoseSurvivorMessages) {
-  LayerCluster<TotalLayer> c(3, 6);
-  ASSERT_TRUE(c.await_group());
-  // The sequencer is the primary = lowest id = node 0 (first spawned at
-  // site 0). Survivors keep sending while it dies.
-  for (int r = 0; r < 10; ++r)
-    c.nodes[1].layer->multicast(to_bytes("s" + std::to_string(r)));
-  c.world.crash_site(c.sites[0]);
-  c.world.run_for(10 * kSecond);
-  // Both survivors deliver all 10, in the same order.
-  std::vector<std::string> a;
-  std::vector<std::string> b;
-  for (const auto& d : c.nodes[1].recorder->deliveries) a.push_back(d.payload);
-  for (const auto& d : c.nodes[2].recorder->deliveries) b.push_back(d.payload);
-  EXPECT_EQ(a.size(), 10u);
-  EXPECT_EQ(a, b);
+  LayerCluster c(4, 3, net);
+  run_causal_chain(c, 10);
 }
 
 TEST(CausalLayer, ConcurrentSendersAllDelivered) {
-  LayerCluster<CausalLayer> c(3, 7);
+  LayerCluster c(3, 7);
   ASSERT_TRUE(c.await_group());
   for (int r = 0; r < 15; ++r) {
     c.nodes[0].layer->multicast(to_bytes("a" + std::to_string(r)));
@@ -265,7 +193,7 @@ TEST(CausalLayer, ConcurrentSendersAllDelivered) {
 }
 
 TEST(Layers, OverheadBytesAreTracked) {
-  LayerCluster<TotalLayer> c(2, 8);
+  LayerCluster c(2, 8);
   ASSERT_TRUE(c.await_group());
   c.nodes[1].layer->multicast(to_bytes("x"));
   c.world.run_for(2 * kSecond);
