@@ -94,7 +94,7 @@ void LogShard::svc_dispatch(SvcRequest req, SvcRespondFn respond) {
       if (sealed()) {
         // The CORFU fence: a sealed shard refuses new appends until a
         // view change advances the epoch past the seal. Same outcome as
-        // an epoch fence, so the client SDK's re-fence path handles both.
+        // an epoch fence, so a client's re-fence path handles both.
         respond(SvcResponse::invalid_epoch(view_epoch()));
         return;
       }

@@ -28,7 +28,7 @@
 // is itself an ordered multicast; once applied, the shard refuses
 // appends while its installed view epoch is <= e, answering
 // InvalidEpoch{current} — exactly the outcome a client sees across an
-// e-view change, so the client SDK's re-fence path covers both. A view
+// e-view change, so a client's re-fence path covers both. A view
 // change advances the epoch past the seal and re-opens the shard.
 //
 // A log shard serves only in a majority partition (can_serve): unlike the

@@ -33,8 +33,8 @@
 // tools (tools/evs_top, tools/evs_ctl) find every node's endpoint from
 // one file. A `svc` line for `self` additionally serves the external-client
 // front door there (length-prefixed binary request/response, svc/server.hpp);
-// svc lines for other sites let load generators (tools/svc_bench) find the
-// whole fleet. An `admin_token` line (one word, no spaces) arms the admin
+// svc lines for other sites let clients find the whole fleet's front doors
+// from one file. An `admin_token` line (one word, no spaces) arms the admin
 // plane's POST side: control commands (/join, /leave, /merge-all,
 // /merge) are only accepted when they carry the same token, and a config
 // without the line leaves the plane read-only. Parsing is strict:

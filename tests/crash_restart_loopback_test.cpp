@@ -30,138 +30,24 @@
 //
 // Plain main() runner (no gtest); RUN_SERIAL in ctest (fixed loopback
 // ports, real forked processes).
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "runtime/svc.hpp"
-#include "svc/protocol.hpp"
+#include "support/fleet.hpp"
 
 namespace {
 
-using evs::Bytes;
+using namespace evs::test::fleet;
 using evs::runtime::SvcOp;
-using evs::runtime::SvcRequest;
 using evs::runtime::SvcResponse;
 using evs::runtime::SvcStatus;
 
 constexpr int kNodes = 3;
-
-std::function<void()> g_on_fail;
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  if (g_on_fail) g_on_fail();
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::string& trace_dir, const std::string& trace_name) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::setenv("EVS_TRACE_OUT", trace_dir.c_str(), 1);
-    // --trace-flush-ms keeps a near-current trace on disk so the SIGKILL
-    // victims still contribute to the merged trace_check pass.
-    ::execl(binary.c_str(), binary.c_str(), "--config", config_path.c_str(),
-            "--object", "file", "--trace-flush-ms", "100", "--trace-name",
-            trace_name.c_str(), static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
-
-bool contains_after(const std::string& text, std::size_t offset,
-                    const std::string& needle) {
-  return text.find(needle, offset) != std::string::npos;
-}
 
 /// Blocks until the periodic trace flush (--trace-flush-ms 100) has
 /// written `path` at least once — a SIGKILL before the first flush
@@ -174,218 +60,13 @@ void await_trace(const std::string& path) {
   die("trace never flushed: " + path);
 }
 
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return {};
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0)
-    response.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return response;
-}
-
-long long json_number(const std::string& body, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::atoll(body.c_str() + at + needle.size());
-}
-
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
-}
-
-// ------------------------------------------------------------- client ---
-
-class SvcClient {
- public:
-  explicit SvcClient(std::uint16_t port) : port_(port) {}
-  ~SvcClient() { close_fd(); }
-
-  void connect_or_die() {
-    close_fd();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) die("client socket() failed");
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-      die("client connect() to svc port failed");
-    rx_.clear();
-    rx_off_ = 0;
-  }
-
-  /// Connects lazily and retries the connect: a freshly respawned node's
-  /// svc listener may be a beat behind its up line.
-  bool try_connect() {
-    close_fd();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      close_fd();
-      return false;
-    }
-    rx_.clear();
-    rx_off_ = 0;
-    return true;
-  }
-
-  std::uint64_t send_request(const SvcRequest& req) {
-    if (fd_ < 0) connect_or_die();
-    const std::uint64_t id = next_id_++;
-    const Bytes body = evs::svc::encode_request(id, req);
-    std::string frame;
-    evs::svc::append_frame(frame, body);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) die("client send() failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    return id;
-  }
-
-  SvcResponse recv_response(std::uint64_t id, int timeout_ms = 10000) {
-    for (int waited = 0;;) {
-      const auto parked = parked_.find(id);
-      if (parked != parked_.end()) {
-        SvcResponse resp = parked->second;
-        parked_.erase(parked);
-        return resp;
-      }
-      Bytes frame_body;
-      switch (evs::svc::next_frame(rx_, rx_off_, frame_body)) {
-        case evs::svc::FrameStatus::Frame: {
-          const auto wire = evs::svc::decode_response(frame_body);
-          parked_.emplace(wire.request_id, wire.resp);
-          continue;
-        }
-        case evs::svc::FrameStatus::Malformed:
-          die("server sent a malformed frame");
-        case evs::svc::FrameStatus::NeedMore:
-          break;
-      }
-      if (waited >= timeout_ms)
-        die("request " + std::to_string(id) +
-            " hung: no typed response within the deadline");
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 200) > 0) {
-        char buf[4096];
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0)
-          rx_.append(buf, static_cast<std::size_t>(n));
-        else if (n == 0)
-          die("server closed the connection mid-request");
-      } else {
-        waited += 200;
-      }
-    }
-  }
-
-  SvcResponse call(const SvcRequest& req, int timeout_ms = 10000) {
-    return recv_response(send_request(req), timeout_ms);
-  }
-
- private:
-  void close_fd() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  std::uint16_t port_;
-  int fd_ = -1;
-  std::string rx_;
-  std::size_t rx_off_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, SvcResponse> parked_;
-};
-
-SvcRequest make_get(std::uint64_t epoch) {
-  SvcRequest r;
-  r.op = SvcOp::Get;
-  r.view_epoch = epoch;
-  return r;
-}
-
-SvcRequest make_append(std::string value, std::uint64_t epoch) {
-  SvcRequest r;
-  r.op = SvcOp::Append;
-  r.view_epoch = epoch;
-  r.value = std::move(value);
-  return r;
-}
-
 /// Appends with the protocol's own retry contract: Unavailable means
 /// "retry later" (settling), InvalidEpoch re-fences from the answer.
-void append_until_ok(SvcClient& client, const std::string& value,
+void append_until_ok(SvcConn& client, const std::string& value,
                      std::uint64_t& epoch, const char* what) {
   for (int waited = 0; waited < 30000;) {
-    const SvcResponse resp = client.call(make_append(value, epoch));
+    const SvcResponse resp =
+        client.call(svc_request(SvcOp::Append, {}, value, epoch));
     if (resp.status == SvcStatus::Ok) return;
     if (resp.status == SvcStatus::InvalidEpoch) {
       epoch = resp.view_epoch;
@@ -403,10 +84,10 @@ void append_until_ok(SvcClient& client, const std::string& value,
 }
 
 /// Polls with wildcard Gets until the file content equals `want`.
-void await_content(SvcClient& client, const std::string& want,
+void await_content(SvcConn& client, const std::string& want,
                    const char* what) {
   for (int waited = 0; waited < 30000; waited += 100) {
-    const SvcResponse resp = client.call(make_get(0));
+    const SvcResponse resp = client.call(svc_request(SvcOp::Get));
     if (resp.status == SvcStatus::Ok && resp.value == want) return;
     if (resp.status != SvcStatus::Ok && resp.status != SvcStatus::Unavailable)
       die(std::string(what) + ": Get answered " +
@@ -427,77 +108,48 @@ int main(int argc, char** argv) {
   const std::string evs_node = argv[1];
   const std::string trace_check = argv[2];
 
-  char dir_template[] = "/tmp/evs_crash_restart_XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
-  const std::string dir = dir_template;
+  // The whole point of this test: every node persists through a WAL store
+  // and restarts from it.
+  const Layout layout = make_layout(
+      "/tmp/evs_crash_restart_", kNodes,
+      {.admin = true, .svc = true, .extra = [](const std::string& dir, int i) {
+         return "store " + dir + "/store" + std::to_string(i) + "\n";
+       }});
+  const std::string& dir = layout.dir;
+  keep_metrics_on_fail(layout.admin, "crash-restart-node");
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t admin_ports[kNodes];
-  std::uint16_t svc_ports[kNodes];
-  for (auto& p : ports) p = free_port();
-  for (auto& p : admin_ports) p = free_port();
-  for (auto& p : svc_ports) p = free_port();
-
-  std::vector<std::string> config_paths;
-  for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "admin " << j << " 127.0.0.1:" << admin_ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "svc " << j << " 127.0.0.1:" << svc_ports[j] << "\n";
-    // The whole point of this test: every node persists through a WAL
-    // store and restarts from it.
-    os << "store " << dir << "/store" << i << "\n";
-    config_paths.push_back(path);
-  }
-
-  if (const char* artifacts = std::getenv("EVS_LOOPBACK_ARTIFACTS")) {
-    const std::string out_dir = artifacts;
-    g_on_fail = [out_dir, &admin_ports]() {
-      for (int i = 0; i < kNodes; ++i) {
-        const std::string metrics = http_get(admin_ports[i], "/metrics");
-        if (metrics.empty()) continue;
-        std::ofstream os(out_dir + "/crash-restart-node" + std::to_string(i) +
-                         ".metrics.json");
-        os << metrics;
-      }
-    };
-  }
-
-  std::vector<Child> children;
+  // --trace-flush-ms keeps a near-current trace on disk so the SIGKILL
+  // victims still contribute to the merged trace_check pass.
+  Fleet fleet;
   std::vector<std::string> trace_names;
-  for (int i = 0; i < kNodes; ++i) {
-    const std::string name = "cr-site" + std::to_string(i) + "-run1";
-    trace_names.push_back(name);
-    children.push_back(spawn_node(evs_node, config_paths[i], dir, name));
-  }
+  const auto spawn = [&](int site, const std::string& trace_name) {
+    trace_names.push_back(trace_name);
+    fleet.spawn(site,
+                {evs_node, "--config", layout.config[site], "--object", "file",
+                 "--trace-flush-ms", "100", "--trace-name", trace_name},
+                dir);
+  };
+  for (int i = 0; i < kNodes; ++i)
+    spawn(i, "cr-site" + std::to_string(i) + "-run1");
+  const std::vector<int> all = {0, 1, 2};
 
   // 1. Fresh boot: everyone up as incarnation 1, common 3-view, svc ports.
   const std::string full_view = "size=3 members=0,1,2";
-  if (!await(children, 30000, [&]() {
-        for (const Child& c : children) {
-          if (!contains_after(c.out, 0, "incarnation=1")) return false;
-          if (!contains_after(c.out, 0, "svc site=")) return false;
-          if (!contains_after(c.out, 0, full_view)) return false;
-        }
-        return true;
-      })) {
-    dump_outputs(children);
+  if (!fleet.await(30000, [&]() {
+        return fleet.printed(all, "incarnation=1") &&
+               fleet.printed(all, "svc site=") &&
+               fleet.printed(all, full_view);
+      }))
     die("nodes never converged to the 3-view as incarnation 1");
-  }
   std::fprintf(stderr, "ok: 3-view installed, all incarnation=1\n");
 
-  SvcClient client0(svc_ports[0]);
-  SvcClient client1(svc_ports[1]);
-  SvcClient client2(svc_ports[2]);
+  SvcConn client0(layout.svc[0]);
+  SvcConn client1(layout.svc[1]);
+  SvcConn client2(layout.svc[2]);
 
   // 2. Build the file prefix through the front door: big enough that
   //    re-copying it later would be conspicuous next to the delta.
-  const SvcResponse hello = client0.call(make_get(0));
+  const SvcResponse hello = client0.call(svc_request(SvcOp::Get));
   if (hello.status != SvcStatus::Ok) die("wildcard Get was not Ok");
   std::uint64_t epoch = hello.view_epoch;
   if (epoch == 0) die("Ok response carries no view epoch");
@@ -519,35 +171,21 @@ int main(int argc, char** argv) {
   //    respawn it immediately, faster than any failure detection. Before
   //    the monotonic bump, the restarted process reused incarnation 1 and
   //    its peers silently dropped its frames as stale duplicates.
-  const std::size_t fast_offset[kNodes] = {children[0].out.size(),
-                                           children[1].out.size(),
-                                           children[2].out.size()};
+  const auto fast_offset = fleet.offsets();
   await_trace(dir + "/cr-site1-run1.trace.jsonl");
-  ::kill(children[1].pid, SIGKILL);
-  reap(children[1]);
-  trace_names.push_back("cr-site1-run2");
-  children[1] = spawn_node(evs_node, config_paths[1], dir, "cr-site1-run2");
-  if (!await(children, 30000, [&]() {
-        return contains_after(children[1].out, 0, "incarnation=2");
-      })) {
-    dump_outputs(children);
+  fleet.kill9(1);
+  spawn(1, "cr-site1-run2");
+  client1.reset();  // drop the connection to the killed incarnation
+  if (!fleet.await(30000,
+                   [&]() { return fleet.printed({1}, "incarnation=2"); }))
     die("fast-restarted node 1 did not bump to incarnation=2");
-  }
-  if (!await(children, 60000, [&]() {
-        for (int i = 0; i < kNodes; ++i) {
-          const std::size_t from = i == 1 ? 0 : fast_offset[i];
-          if (!contains_after(children[i].out, from, full_view)) return false;
-        }
-        return true;
-      })) {
-    dump_outputs(children);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed({1}, full_view) &&
+               fleet.printed({0, 2}, full_view, fast_offset);
+      }))
     die("fleet never re-formed the 3-view around the fast-restarted node");
-  }
   // The restarted incarnation must actually serve: an append through it
   // lands, and is visible elsewhere.
-  if (!client1.try_connect()) {
-    for (int i = 0; i < 50 && !client1.try_connect(); ++i) ::usleep(100 * 1000);
-  }
   std::string tail1 = "after-fast-restart:";
   tail1.resize(32, 'f');
   append_until_ok(client1, tail1, epoch, "post-fast-restart Append");
@@ -558,20 +196,13 @@ int main(int argc, char** argv) {
 
   // 4. Bounded-delta rejoin: SIGKILL node 2, advance the file while it is
   //    down, restart it from disk.
-  const std::size_t kill_offset[2] = {children[0].out.size(),
-                                      children[1].out.size()};
+  const auto kill_offset = fleet.offsets();
   await_trace(dir + "/cr-site2-run1.trace.jsonl");
-  ::kill(children[2].pid, SIGKILL);
-  reap(children[2]);
-  const std::string survivor_view = "size=2 members=0,1";
-  if (!await(children, 60000, [&]() {
-        return contains_after(children[0].out, kill_offset[0],
-                              survivor_view) &&
-               contains_after(children[1].out, kill_offset[1], survivor_view);
-      })) {
-    dump_outputs(children);
+  fleet.kill9(2);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed({0, 1}, "size=2 members=0,1", kill_offset);
+      }))
     die("survivors never installed the 2-view after the kill");
-  }
   std::string suffix;
   constexpr int kSuffixAppends = 4;
   for (int i = 0; i < kSuffixAppends; ++i) {
@@ -585,37 +216,25 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ok: %zuB suffix written while node 2 was down\n",
                suffix.size());
 
-  const std::size_t rejoin_offset[2] = {children[0].out.size(),
-                                        children[1].out.size()};
-  trace_names.push_back("cr-site2-run2");
-  children[2] = spawn_node(evs_node, config_paths[2], dir, "cr-site2-run2");
-  if (!await(children, 30000, [&]() {
-        return contains_after(children[2].out, 0, "incarnation=2");
-      })) {
-    dump_outputs(children);
+  const auto rejoin_offset = fleet.offsets();
+  spawn(2, "cr-site2-run2");
+  client2.reset();  // drop the connection to the killed incarnation
+  if (!fleet.await(30000,
+                   [&]() { return fleet.printed({2}, "incarnation=2"); }))
     die("restarted node 2 did not bump to incarnation=2");
-  }
-  if (!await(children, 60000, [&]() {
-        if (!contains_after(children[2].out, 0, full_view)) return false;
-        for (int i = 0; i < 2; ++i)
-          if (!contains_after(children[i].out, rejoin_offset[i], full_view))
-            return false;
-        return true;
-      })) {
-    dump_outputs(children);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed({2}, full_view) &&
+               fleet.printed({0, 1}, full_view, rejoin_offset);
+      }))
     die("fleet never re-formed the 3-view around restarted node 2");
-  }
-  if (!client2.try_connect()) {
-    for (int i = 0; i < 50 && !client2.try_connect(); ++i) ::usleep(100 * 1000);
-  }
   await_content(client2, expected, "converged content on restarted node 2");
   std::fprintf(stderr, "ok: restarted node 2 rejoined with the full file\n");
 
   // ...and it got there via a bounded delta over its recovered state, not
   // a full copy. All of this is first-class on its /metrics.
   std::string metrics2;
-  if (!await(children, 15000, [&]() {
-        metrics2 = http_get(admin_ports[2], "/metrics");
+  if (!fleet.await(15000, [&]() {
+        metrics2 = admin_get(layout.admin[2], "/metrics");
         return json_number(metrics2, "node.delta_installs") >= 1;
       })) {
     std::fprintf(stderr, "metrics: %s\n", metrics2.c_str());
@@ -650,7 +269,7 @@ int main(int argc, char** argv) {
                delta_bytes, prefix_bytes);
 
   // The source side deferred its offer and served the delta.
-  const std::string metrics0 = http_get(admin_ports[0], "/metrics");
+  const std::string metrics0 = admin_get(layout.admin[0], "/metrics");
   if (json_number(metrics0, "node.deferred_offers") < 1)
     die("source representative never deferred an offer");
   if (json_number(metrics0, "node.delta_serves") < 1)
@@ -658,19 +277,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ok: source deferred offers and served deltas\n");
 
   // 5. Graceful shutdown.
-  for (int i = 0; i < kNodes; ++i) ::kill(children[i].pid, SIGTERM);
-  for (int i = 0; i < kNodes; ++i) reap(children[i]);
-  for (int i = 0; i < kNodes; ++i) {
-    if (!WIFEXITED(children[i].exit_status) ||
-        WEXITSTATUS(children[i].exit_status) != 0) {
-      dump_outputs(children);
-      die("node" + std::to_string(i) + " exited uncleanly");
-    }
-    if (!contains_after(children[i].out, 0, "summary ")) {
-      dump_outputs(children);
-      die("node" + std::to_string(i) + " printed no summary");
-    }
-  }
+  fleet.shutdown(all);
   std::fprintf(stderr, "ok: all nodes exited cleanly\n");
 
   // 6. The union of every incarnation's trace passes the checker.
@@ -680,13 +287,10 @@ int main(int argc, char** argv) {
     if (::access(path.c_str(), R_OK) != 0) die("missing trace: " + path);
     check.push_back(path);
   }
-  if (run_and_wait(check) != 0) {
-    dump_outputs(children);
-    die("trace_check found violations in the merged traces");
-  }
+  if (run(check) != 0) die("trace_check found violations in the merged traces");
   std::fprintf(stderr, "ok: merged traces across restarts pass trace_check\n");
 
-  run_and_wait({"/bin/rm", "-rf", dir});
+  remove_tree(dir);
   std::printf("PASS\n");
   return 0;
 }

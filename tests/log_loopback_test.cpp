@@ -2,7 +2,7 @@
 // hosting FOUR log-shard group instances (G=4) over one socket/loop/
 // timer wheel, driven through the svc front door on 127.0.0.1.
 //
-//   usage: log_loopback_test <evs_node> <trace_check> <log_bench>
+//   usage: log_loopback_test <evs_node> <trace_check> <fleet_gen>
 //
 // The contract under test (ISSUE 8): one process hosts many groups; the
 // four shards form one shared log whose global positions interleave
@@ -23,42 +23,35 @@
 //      SIGSTOP-induced view change outruns it; the 2-view majority keeps
 //      appending; SIGCONT re-merges all four groups and the revived node
 //      serves reads of records it never saw appended (state transfer),
-//   7. a short log_bench run (open-loop load + SDK verify pass) exits 0:
-//      no duplicate positions, nothing lost,
+//   7. a short open-loop fleet_gen load at the coordinator: every append
+//      acked, no connection lost, no position acked twice; fleet_gen then
+//      reads every acked position back at all three replicas (zero
+//      mismatches, zero unanswered) and the replicas' tails agree,
 //   8. SIGTERM everything; the merged traces pass trace_check, which
 //      splits by group label and checks each group's slice on its own.
 //
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
 // narrated transcript on stderr. RUN_SERIAL in ctest (fixed loopback
 // ports, real forked processes).
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "runtime/svc.hpp"
-#include "svc/protocol.hpp"
+#include "support/fleet.hpp"
 
 namespace {
 
-using evs::Bytes;
+using namespace evs::test::fleet;
 using evs::runtime::SvcOp;
 using evs::runtime::SvcRequest;
 using evs::runtime::SvcResponse;
@@ -66,104 +59,6 @@ using evs::runtime::SvcStatus;
 
 constexpr int kNodes = 3;
 constexpr int kShards = 4;  // groups 1..4, shard index = id - 1
-
-std::function<void()> g_on_fail;
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  if (g_on_fail) g_on_fail();
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::string& trace_dir) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::setenv("EVS_TRACE_OUT", trace_dir.c_str(), 1);
-    std::vector<std::string> args = {binary, "--config", config_path,
-                                     "--trace-flush-ms", "100"};
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
 
 /// True when `out` (past `offset`) holds a view line for `group` whose
 /// same line also matches `needle` (e.g. "size=3 members=0,1,2").
@@ -197,159 +92,14 @@ int group_coordinator(const std::string& out, int group) {
   return std::atoi(out.c_str() + coord + sizeof("coordinator=") - 1);
 }
 
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
-}
-
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid) return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-// ------------------------------------------------------------- client ---
-
-/// Blocking external client on one persistent connection; dies loudly on
-/// any hang (the typed-response promise is part of what is under test).
-class SvcClient {
- public:
-  explicit SvcClient(std::uint16_t port) : port_(port) {}
-  ~SvcClient() { close_fd(); }
-
-  void connect_or_die() {
-    close_fd();
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) die("client socket() failed");
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port_);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-      die("client connect() to svc port failed");
-    rx_.clear();
-    rx_off_ = 0;
-  }
-
-  std::uint64_t send_request(const SvcRequest& req) {
-    if (fd_ < 0) connect_or_die();
-    const std::uint64_t id = next_id_++;
-    const Bytes body = evs::svc::encode_request(id, req);
-    std::string frame;
-    evs::svc::append_frame(frame, body);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) die("client send() failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    return id;
-  }
-
-  SvcResponse recv_response(std::uint64_t id, int timeout_ms = 10000) {
-    for (int waited = 0;;) {
-      const auto parked = parked_.find(id);
-      if (parked != parked_.end()) {
-        SvcResponse resp = parked->second;
-        parked_.erase(parked);
-        return resp;
-      }
-      Bytes frame_body;
-      switch (evs::svc::next_frame(rx_, rx_off_, frame_body)) {
-        case evs::svc::FrameStatus::Frame: {
-          const auto wire = evs::svc::decode_response(frame_body);
-          parked_.emplace(wire.request_id, wire.resp);
-          continue;
-        }
-        case evs::svc::FrameStatus::Malformed:
-          die("server sent a malformed frame");
-        case evs::svc::FrameStatus::NeedMore:
-          break;
-      }
-      if (waited >= timeout_ms)
-        die("request " + std::to_string(id) +
-            " hung: no typed response within the deadline");
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 200) > 0) {
-        char buf[4096];
-        const ssize_t n = ::read(fd_, buf, sizeof(buf));
-        if (n > 0)
-          rx_.append(buf, static_cast<std::size_t>(n));
-        else if (n == 0)
-          die("server closed the connection mid-request");
-      } else {
-        waited += 200;
-      }
-    }
-  }
-
-  SvcResponse call(const SvcRequest& req, int timeout_ms = 10000) {
-    return recv_response(send_request(req), timeout_ms);
-  }
-
- private:
-  void close_fd() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  std::uint16_t port_;
-  int fd_ = -1;
-  std::string rx_;
-  std::size_t rx_off_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, SvcResponse> parked_;
-};
-
-SvcRequest log_req(SvcOp op, std::string key = {}, std::string value = {}) {
-  SvcRequest r;
-  r.op = op;
-  r.key = std::move(key);
-  r.value = std::move(value);
-  return r;
-}
-
 /// Appends with the wildcard epoch, retrying the protocol's transient
 /// outcomes: Unavailable (settling / shed) and InvalidEpoch (sealed shard
 /// waiting for a view change). Returns the Ok response.
-SvcResponse append_until_ok(SvcClient& client, const std::string& key,
+SvcResponse append_until_ok(SvcConn& client, const std::string& key,
                             const std::string& value, const char* what) {
   for (int waited = 0; waited < 60000;) {
     const SvcResponse resp =
-        client.call(log_req(SvcOp::LogAppend, key, value));
+        client.call(svc_request(SvcOp::LogAppend, key, value));
     if (resp.status == SvcStatus::Ok) return resp;
     if (resp.status != SvcStatus::Unavailable &&
         resp.status != SvcStatus::InvalidEpoch)
@@ -365,11 +115,11 @@ SvcResponse append_until_ok(SvcClient& client, const std::string& key,
 
 /// Reads `pos` until its tagged value equals `want` (replication and
 /// state transfer are eventual; a non-typed answer or timeout is fatal).
-void await_read(SvcClient& client, std::uint64_t pos, const std::string& want,
+void await_read(SvcConn& client, std::uint64_t pos, const std::string& want,
                 const char* what) {
   for (int waited = 0; waited < 60000; waited += 100) {
     const SvcResponse resp =
-        client.call(log_req(SvcOp::LogRead, std::to_string(pos)));
+        client.call(svc_request(SvcOp::LogRead, std::to_string(pos)));
     if (resp.status == SvcStatus::Ok && resp.value == want) return;
     if (resp.status != SvcStatus::Ok && resp.status != SvcStatus::Conflict &&
         resp.status != SvcStatus::Unavailable)
@@ -381,55 +131,69 @@ void await_read(SvcClient& client, std::uint64_t pos, const std::string& want,
       " never read \"" + want + "\"");
 }
 
+/// One fleet_gen load record: ten little-endian u64s per request (see
+/// fleetbench/gen.cpp); only the fields this runner checks are kept.
+struct LoadRecord {
+  std::uint64_t id = 0;
+  std::uint64_t key = 0;
+  std::uint64_t done = 0;  // 0 = never answered Ok
+  std::uint64_t position = 0;
+};
+
+std::vector<LoadRecord> read_load_records(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<LoadRecord> records;
+  unsigned char raw[80];
+  while (in.read(reinterpret_cast<char*>(raw), sizeof(raw))) {
+    std::uint64_t f[10];
+    for (int i = 0; i < 10; ++i) {
+      f[i] = 0;
+      for (int b = 7; b >= 0; --b) f[i] = (f[i] << 8) | raw[i * 8 + b];
+    }
+    records.push_back({f[0], f[2], f[6], f[9]});
+  }
+  if (in.gcount() != 0) die("truncated fleet_gen record file " + path);
+  return records;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 4) {
-    std::fprintf(stderr, "usage: %s <evs_node> <trace_check> <log_bench>\n",
+    std::fprintf(stderr, "usage: %s <evs_node> <trace_check> <fleet_gen>\n",
                  argv[0]);
     return 2;
   }
   const std::string evs_node = argv[1];
   const std::string trace_check = argv[2];
-  const std::string log_bench = argv[3];
+  const std::string fleet_gen = argv[3];
 
-  char dir_template[] = "/tmp/evs_log_loopback_XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
-  const std::string dir = dir_template;
+  const Layout layout = make_layout(
+      "/tmp/evs_log_loopback_", kNodes,
+      {.svc = true, .extra = [](const std::string&, int) {
+         std::string groups;
+         for (int g = 1; g <= kShards; ++g)
+           groups += "group " + std::to_string(g) + " log\n";
+         return groups;
+       }});
+  const std::string& dir = layout.dir;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t svc_ports[kNodes];
-  for (auto& p : ports) p = free_port();
-  for (auto& p : svc_ports) p = free_port();
-
-  std::vector<std::string> config_paths;
-  for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "svc " << j << " 127.0.0.1:" << svc_ports[j] << "\n";
-    for (int g = 1; g <= kShards; ++g) os << "group " << g << " log\n";
-    config_paths.push_back(path);
-  }
-
-  std::vector<Child> children;
+  Fleet fleet;
   for (int i = 0; i < kNodes; ++i)
-    children.push_back(spawn_node(evs_node, config_paths[i], dir));
-  g_on_fail = [&children]() { dump_outputs(children); };
+    fleet.spawn(i, {evs_node, "--config", layout.config[i], "--trace-flush-ms",
+                    "100"},
+                dir);
+  const std::vector<int> all = {0, 1, 2};
 
   // 1. Every node hosts all four shards and installs all four 3-views.
   const std::string full = "size=3 members=0,1,2";
-  if (!await(children, 60000, [&]() {
-        for (const Child& c : children) {
-          if (c.out.find("groups n=4 shards=4") == std::string::npos)
-            return false;
-          if (c.out.find("svc site=") == std::string::npos) return false;
+  if (!fleet.await(60000, [&]() {
+        if (!fleet.printed(all, "groups n=4 shards=4") ||
+            !fleet.printed(all, "svc site="))
+          return false;
+        for (const int i : all)
           for (int g = 1; g <= kShards; ++g)
-            if (!has_group_view(c.out, 0, g, full)) return false;
-        }
+            if (!has_group_view(fleet[i].out, 0, g, full)) return false;
         return true;
       }))
     die("nodes never hosted 4 groups and converged to four 3-views");
@@ -437,10 +201,10 @@ int main(int argc, char** argv) {
 
   // All groups share one universe, so deterministic election gives them
   // one coordinator site; writes for every shard go there.
-  const int coord = group_coordinator(children[0].out, 1);
+  const int coord = group_coordinator(fleet[0].out, 1);
   if (coord < 0 || coord >= kNodes) die("no coordinator parsed from views");
   for (int g = 2; g <= kShards; ++g)
-    if (group_coordinator(children[0].out, g) != coord)
+    if (group_coordinator(fleet[0].out, g) != coord)
       die("groups disagree on the coordinator site");
   const int other = (coord + 1) % kNodes;
   std::fprintf(stderr, "ok: coordinator site %d for all four groups\n", coord);
@@ -448,12 +212,12 @@ int main(int argc, char** argv) {
   // 2. Writes route: a non-coordinator names the coordinator, typed.
   // Right after the view settles a replica may briefly shed load, so
   // tolerate transient Unavailable before asserting the redirect.
-  SvcClient follower(svc_ports[other]);
-  SvcResponse redirect = follower.call(log_req(SvcOp::LogAppend, "0", "x"));
+  SvcConn follower(layout.svc[other]);
+  SvcResponse redirect = follower.call(svc_request(SvcOp::LogAppend, "0", "x"));
   for (int i = 0; i < 100 && redirect.status == SvcStatus::Unavailable; ++i) {
     ::usleep((redirect.retry_after_ms > 0 ? redirect.retry_after_ms : 50) *
              1000);
-    redirect = follower.call(log_req(SvcOp::LogAppend, "0", "x"));
+    redirect = follower.call(svc_request(SvcOp::LogAppend, "0", "x"));
   }
   if (redirect.status != SvcStatus::NotLeader)
     die(std::string("append at a non-coordinator was not NotLeader but ") +
@@ -466,9 +230,9 @@ int main(int argc, char** argv) {
   //    key i routes to shard i%4, so 80 keys put 20 records on each.
   constexpr int kBurst = 80;
   constexpr int kConns = 4;
-  std::vector<std::unique_ptr<SvcClient>> writers;
+  std::vector<std::unique_ptr<SvcConn>> writers;
   for (int c = 0; c < kConns; ++c)
-    writers.push_back(std::make_unique<SvcClient>(svc_ports[coord]));
+    writers.push_back(std::make_unique<SvcConn>(layout.svc[coord]));
   std::map<int, std::uint64_t> pos_of_key;
   std::uint64_t epoch = 0;
   {
@@ -476,8 +240,9 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kBurst; ++i) {
       const int c = i % kConns;
       inflight[c].emplace_back(
-          i, writers[c]->send_request(log_req(
-                 SvcOp::LogAppend, std::to_string(i), "r" + std::to_string(i))));
+          i, writers[c]->send_request(svc_request(SvcOp::LogAppend,
+                                                  std::to_string(i),
+                                                  "r" + std::to_string(i))));
     }
     for (int c = 0; c < kConns; ++c) {
       for (const auto& [key, id] : inflight[c]) {
@@ -518,13 +283,13 @@ int main(int argc, char** argv) {
   //    Appends ack at the coordinator's delivery; the follower's replicas
   //    deliver the same multicasts a beat later, so poll the tail up.
   const std::uint64_t want_tail = (kBurst / kShards) * kShards + (kShards - 1);
-  SvcResponse tail = follower.call(log_req(SvcOp::LogTail));
+  SvcResponse tail = follower.call(svc_request(SvcOp::LogTail));
   for (int i = 0; i < 200; ++i) {
     if (tail.status == SvcStatus::Ok &&
         std::strtoull(tail.value.c_str(), nullptr, 10) == want_tail)
       break;
     ::usleep(50 * 1000);
-    tail = follower.call(log_req(SvcOp::LogTail));
+    tail = follower.call(svc_request(SvcOp::LogTail));
   }
   if (tail.status != SvcStatus::Ok) die("LogTail was not Ok");
   if (std::strtoull(tail.value.c_str(), nullptr, 10) != want_tail)
@@ -537,15 +302,15 @@ int main(int argc, char** argv) {
 
   // 5. Fill a run beyond shard 1's tail ('F' reads), then trim shard 0's
   //    prefix ('T' reads) with later records intact.
-  SvcClient writer(svc_ports[coord]);
+  SvcConn writer(layout.svc[coord]);
   const std::uint64_t fill_at = (kBurst / kShards + 2) * kShards + 1;
   const SvcResponse filled =
-      writer.call(log_req(SvcOp::LogFill, std::to_string(fill_at)));
+      writer.call(svc_request(SvcOp::LogFill, std::to_string(fill_at)));
   if (filled.status != SvcStatus::Ok) die("LogFill was not Ok");
   await_read(follower, fill_at, "F", "filled read");
   await_read(follower, fill_at - kShards, "F", "junk-run read");
   const SvcResponse trimmed =
-      writer.call(log_req(SvcOp::LogTrim, std::to_string(2 * kShards)));
+      writer.call(svc_request(SvcOp::LogTrim, std::to_string(2 * kShards)));
   if (trimmed.status != SvcStatus::Ok) die("LogTrim was not Ok");
   await_read(follower, 0, "T", "trimmed read");
   await_read(follower, kShards, "T", "trimmed read");
@@ -564,26 +329,25 @@ int main(int argc, char** argv) {
   const SvcResponse probe = append_until_ok(writer, "100", "probe", "probe");
   const std::uint64_t seal_epoch = probe.view_epoch;
   const SvcResponse sealed =
-      writer.call(log_req(SvcOp::LogSeal, std::to_string(seal_epoch)));
+      writer.call(svc_request(SvcOp::LogSeal, std::to_string(seal_epoch)));
   if (sealed.status != SvcStatus::Ok) die("LogSeal was not Ok");
   const SvcResponse fenced =
-      writer.call(log_req(SvcOp::LogAppend, "104", "fenced"));
+      writer.call(svc_request(SvcOp::LogAppend, "104", "fenced"));
   if (fenced.status != SvcStatus::InvalidEpoch)
     die("append into the sealed shard was not InvalidEpoch");
   std::fprintf(stderr, "ok: sealed at epoch %llu, appends fenced\n",
                static_cast<unsigned long long>(seal_epoch));
 
   const int victim = 3 - coord - other;  // the third site
-  std::size_t stop_offset[kNodes];
-  for (int i = 0; i < kNodes; ++i) stop_offset[i] = children[i].out.size();
-  ::kill(children[victim].pid, SIGSTOP);
+  auto stop_offset = fleet.offsets();
+  fleet.signal(victim, SIGSTOP);
   const std::string pair =
       "size=2 members=" + std::to_string(std::min(coord, other)) + "," +
       std::to_string(std::max(coord, other));
-  if (!await(children, 90000, [&]() {
+  if (!fleet.await(90000, [&]() {
         for (const int i : {coord, other})
           for (int g = 1; g <= kShards; ++g)
-            if (!has_group_view(children[i].out, stop_offset[i], g, pair))
+            if (!has_group_view(fleet[i].out, stop_offset[i], g, pair))
               return false;
         return true;
       }))
@@ -594,32 +358,73 @@ int main(int argc, char** argv) {
     die("the view change did not outrun the sealed epoch");
   std::fprintf(stderr, "ok: 2-views installed, seal outrun, append landed\n");
 
-  for (int i = 0; i < kNodes; ++i) stop_offset[i] = children[i].out.size();
-  ::kill(children[victim].pid, SIGCONT);
-  if (!await(children, 90000, [&]() {
+  stop_offset = fleet.offsets();
+  fleet.signal(victim, SIGCONT);
+  if (!fleet.await(90000, [&]() {
         for (int i = 0; i < kNodes; ++i)
           for (int g = 1; g <= kShards; ++g)
-            if (!has_group_view(children[i].out, stop_offset[i], g, full))
+            if (!has_group_view(fleet[i].out, stop_offset[i], g, full))
               return false;
         return true;
       }))
     die("fleet never re-merged all four groups after SIGCONT");
   // The revived node serves a record appended while it was stopped: shard
   // 0 assigned "after-seal" some position it only learns via transfer.
-  SvcClient revived(svc_ports[victim]);
+  SvcConn revived(layout.svc[victim]);
   await_read(revived,
              std::strtoull(unsealed.value.c_str(), nullptr, 10),
              "Dafter-seal", "revived-node read");
   std::fprintf(stderr, "ok: re-merged; revived node serves transferred log\n");
 
-  // 7. Open-loop bench + SDK verify pass: exit 0 = no dups, nothing lost.
-  if (run_and_wait({log_bench, "--addr",
-                    "127.0.0.1:" + std::to_string(svc_ports[coord]),
-                    "--shards", std::to_string(kShards), "--conns", "4",
-                    "--rate", "1500", "--duration-ms", "1500", "--drain-ms",
-                    "2000", "--key-space", "64", "--value-bytes", "32"}) != 0)
-    die("log_bench reported duplicate or lost appends");
-  std::fprintf(stderr, "ok: log_bench load + verify pass clean\n");
+  // 7. Open-loop load through fleet_gen at the coordinator: every append
+  //    acked, no connection lost, no position acked twice, each in its
+  //    key's residue class. Then fleet_gen reads every acked position
+  //    back at all three replicas, and their tails must agree.
+  const std::string ops_path = dir + "/load.ops";
+  std::string load;
+  if (run({fleet_gen, "load", "--addr", layout.svc_addr(coord), "--kind",
+           "log", "--mode", "open", "--conns", "4", "--rate", "1500", "--ms",
+           "1500", "--keys", "64", "--seed", "7", "--out", ops_path},
+          &load) != 0)
+    die("fleet_gen load failed: " + load);
+  const long long ops = json_number(load, "ops");
+  if (ops <= 0 || json_number(load, "ok") != ops ||
+      json_number(load, "conns_lost") != 0)
+    die("fleet_gen load left appends unacked: " + load);
+  const std::vector<LoadRecord> records = read_load_records(ops_path);
+  if (static_cast<long long>(records.size()) != ops)
+    die("fleet_gen wrote " + std::to_string(records.size()) +
+        " records for " + std::to_string(ops) + " appends");
+  std::map<std::uint64_t, std::uint64_t> acked;  // position -> append id
+  for (const LoadRecord& r : records) {
+    if (r.done == 0) die("append " + std::to_string(r.id) + " never acked");
+    if (r.position % kShards != r.key % kShards)
+      die("key " + std::to_string(r.key) + " acked at position " +
+          std::to_string(r.position) + " outside its shard's residue class");
+    if (!acked.emplace(r.position, r.id).second)
+      die("position " + std::to_string(r.position) +
+          " acked twice (forked log)");
+  }
+  const std::string verify_path = dir + "/load.verify";
+  {
+    std::ofstream os(verify_path);
+    for (const auto& [pos, id] : acked) os << pos << ' ' << id << "\n";
+  }
+  std::vector<std::string> verify_args = {
+      fleet_gen, "verify", "--kind", "log", "--in", verify_path,
+      "--seed",  "7",      "--tails", "1"};
+  for (const int i : all)
+    verify_args.insert(verify_args.end(), {"--addr", layout.svc_addr(i)});
+  std::string verify;
+  if (run(verify_args, &verify) != 0 ||
+      json_number(verify, "mismatches") != 0 ||
+      json_number(verify, "unanswered") != 0 ||
+      !contains_after(verify, 0, "\"tails_agree\":true"))
+    die("fleet_gen verify found replicas disagreeing: " + verify);
+  std::fprintf(stderr,
+               "ok: fleet_gen %lld appends acked once each, read back at "
+               "all %d replicas, tails agree\n",
+               ops, kNodes);
 
   // 7b. One sampled append: the trace context rides the svc frame into
   //     the ordered multicast, so after shutdown the merged dumps must
@@ -627,7 +432,7 @@ int main(int argc, char** argv) {
   //     the record back through the other two nodes first guarantees the
   //     delivery hops exist before the traces flush.
   constexpr std::uint64_t kSampledTraceId = 0x7e5717aceull;
-  SvcRequest traced_append = log_req(SvcOp::LogAppend, "112", "traced");
+  SvcRequest traced_append = svc_request(SvcOp::LogAppend, "112", "traced");
   traced_append.trace_id = kSampledTraceId;
   traced_append.sampled = true;
   SvcResponse traced_resp = writer.call(traced_append);
@@ -648,15 +453,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(traced_pos));
 
   // 8. Clean shutdown; the merged traces pass the per-group checker.
-  for (int i = 0; i < kNodes; ++i) ::kill(children[i].pid, SIGTERM);
-  for (int i = 0; i < kNodes; ++i) reap(children[i]);
-  for (int i = 0; i < kNodes; ++i) {
-    if (!WIFEXITED(children[i].exit_status) ||
-        WEXITSTATUS(children[i].exit_status) != 0) {
-      dump_outputs(children);
-      die("node" + std::to_string(i) + " exited uncleanly");
-    }
-  }
+  fleet.shutdown(all);
   std::vector<std::string> traces;
   for (int i = 0; i < kNodes; ++i) {
     const std::string path =
@@ -664,7 +461,7 @@ int main(int argc, char** argv) {
     if (::access(path.c_str(), R_OK) != 0) die("missing trace: " + path);
     traces.push_back(path);
   }
-  if (run_and_wait({trace_check, "--merge", traces[0], traces[1],
+  if (run({trace_check, "--merge", traces[0], traces[1],
                     traces[2]}) != 0)
     die("trace_check found violations in a group's merged trace");
   std::fprintf(stderr, "ok: merged traces pass per-group trace_check\n");
@@ -676,7 +473,7 @@ int main(int argc, char** argv) {
   const bool keep_tree = artifacts != nullptr && *artifacts != '\0';
   const std::string tree_path =
       (keep_tree ? std::string(artifacts) : dir) + "/request_tree.json";
-  if (run_and_wait({trace_check, "--merge", traces[0], traces[1], traces[2],
+  if (run({trace_check, "--merge", traces[0], traces[1], traces[2],
                     "--request", "0x7e5717ace", "--request-json",
                     tree_path}) != 0)
     die("trace_check rejected the sampled request's span tree");
@@ -696,16 +493,7 @@ int main(int argc, char** argv) {
                "ok: sampled request's span tree crosses all %d processes\n",
                kNodes);
 
-  for (const std::string& path : config_paths) ::unlink(path.c_str());
-  if (!keep_tree) ::unlink(tree_path.c_str());
-  for (const std::string& path : traces) {
-    const std::string stem =
-        path.substr(0, path.size() - sizeof(".trace.jsonl") + 1);
-    ::unlink((stem + ".trace.jsonl").c_str());
-    ::unlink((stem + ".metrics.json").c_str());
-    ::unlink((stem + ".trace.chrome.json").c_str());
-  }
-  ::rmdir(dir.c_str());
+  remove_tree(dir);
   std::printf("PASS\n");
   return 0;
 }

@@ -31,208 +31,23 @@
 // Plain main() runner (no gtest): exit 0 on success, 1 on failure with a
 // narrated transcript on stderr. Registered RUN_SERIAL in ctest since it
 // binds fixed-for-the-run loopback ports and forks real processes.
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
 
+#include "support/fleet.hpp"
+
 namespace {
 
+using namespace evs::test::fleet;
+
 constexpr int kNodes = 3;
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "FAIL: %s\n", message.c_str());
-  std::exit(1);
-}
-
-std::uint16_t free_port() {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) die("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-    die("bind() failed");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    die("getsockname() failed");
-  const std::uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-struct Child {
-  pid_t pid = -1;
-  int out_fd = -1;
-  std::string out;  // everything the node printed so far
-  bool exited = false;
-  int exit_status = -1;
-};
-
-Child spawn_node(const std::string& binary, const std::string& config_path,
-                 const std::string& trace_dir) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) die("pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-    ::setenv("EVS_TRACE_OUT", trace_dir.c_str(), 1);
-    ::execl(binary.c_str(), binary.c_str(), "--config", config_path.c_str(),
-            "--multicast", "100", "--send-interval-ms", "5",
-            "--trace-flush-ms", "100", "--merge-all",
-            static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  Child child;
-  child.pid = pid;
-  child.out_fd = pipe_fds[0];
-  return child;
-}
-
-/// Reads whatever the children have printed; true if any data arrived.
-bool drain(std::vector<Child>& children, int timeout_ms) {
-  std::vector<pollfd> fds;
-  for (Child& c : children)
-    if (c.out_fd >= 0) fds.push_back({c.out_fd, POLLIN, 0});
-  if (fds.empty()) return false;
-  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return false;
-  bool got = false;
-  for (Child& c : children) {
-    if (c.out_fd < 0) continue;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(c.out_fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.out.append(buf, static_cast<std::size_t>(n));
-        got = true;
-      } else if (n == 0) {
-        ::close(c.out_fd);
-        c.out_fd = -1;
-        break;
-      } else {
-        break;  // EAGAIN
-      }
-    }
-  }
-  return got;
-}
-
-/// Pumps child output until `pred()` holds or ~timeout_ms passes.
-bool await(std::vector<Child>& children, int timeout_ms,
-           const std::function<bool()>& pred) {
-  for (int waited = 0; waited < timeout_ms;) {
-    if (pred()) return true;
-    drain(children, 50);
-    waited += 50;
-  }
-  return pred();
-}
-
-bool contains_after(const std::string& text, std::size_t offset,
-                    const std::string& needle) {
-  return text.find(needle, offset) != std::string::npos;
-}
-
-/// Blocking loopback HTTP/1.0 GET with a receive timeout; returns the
-/// whole response (headers + body) or "" on any failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return {};
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0)
-    response.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return response;
-}
-
-/// Extracts the value of `"key":"..."` from a JSON body; "" if absent.
-std::string json_field(const std::string& body, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = body.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t start = at + needle.size();
-  const std::size_t end = body.find('"', start);
-  return end == std::string::npos ? std::string{}
-                                  : body.substr(start, end - start);
-}
-
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) die("fork() failed");
-  if (pid == 0) {
-    std::vector<char*> argv;
-    for (const std::string& a : args)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-void reap(Child& child) {
-  int status = 0;
-  if (::waitpid(child.pid, &status, 0) == child.pid) {
-    child.exited = true;
-    child.exit_status = status;
-  }
-  while (child.out_fd >= 0) {
-    char buf[4096];
-    const ssize_t n = ::read(child.out_fd, buf, sizeof(buf));
-    if (n > 0) {
-      child.out.append(buf, static_cast<std::size_t>(n));
-    } else {
-      ::close(child.out_fd);
-      child.out_fd = -1;
-    }
-  }
-}
-
-void dump_outputs(const std::vector<Child>& children) {
-  for (int i = 0; i < static_cast<int>(children.size()); ++i)
-    std::fprintf(stderr, "--- node%d output ---\n%s\n", i,
-                 children[i].out.c_str());
-}
 
 }  // namespace
 
@@ -248,54 +63,34 @@ int main(int argc, char** argv) {
   const std::string evs_top = argv[3];
   const std::string evs_ctl = argv[4];
 
-  char dir_template[] = "/tmp/evs_loopback_XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) die("mkdtemp() failed");
-  const std::string dir = dir_template;
+  const Layout layout = make_layout(
+      "/tmp/evs_loopback_", kNodes,
+      {.admin = true, .extra = [](const std::string&, int) {
+         return std::string("admin_token looptoken\n");
+       }});
+  const std::string& dir = layout.dir;
+  const std::vector<std::string>& config_paths = layout.config;
 
-  std::uint16_t ports[kNodes];
-  std::uint16_t admin_ports[kNodes];
-  for (auto& p : ports) p = free_port();
-  for (auto& p : admin_ports) p = free_port();
-
-  std::vector<std::string> config_paths;
-  for (int i = 0; i < kNodes; ++i) {
-    const std::string path = dir + "/node" + std::to_string(i) + ".conf";
-    std::ofstream os(path);
-    os << "self " << i << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "peer " << j << " 127.0.0.1:" << ports[j] << "\n";
-    for (int j = 0; j < kNodes; ++j)
-      os << "admin " << j << " 127.0.0.1:" << admin_ports[j] << "\n";
-    os << "admin_token looptoken\n";
-    config_paths.push_back(path);
-  }
-
-  std::vector<Child> children;
+  Fleet fleet;
   for (int i = 0; i < kNodes; ++i)
-    children.push_back(spawn_node(evs_node, config_paths[i], dir));
+    fleet.spawn(i,
+                {evs_node, "--config", config_paths[i], "--multicast", "100",
+                 "--send-interval-ms", "5", "--trace-flush-ms", "100",
+                 "--merge-all"},
+                dir);
+  const std::vector<int> all = {0, 1, 2};
 
   // 1. Every node installs the common full view {0,1,2}.
   const std::string full_view = "size=3 members=0,1,2";
-  if (!await(children, 30000, [&]() {
-        for (const Child& c : children)
-          if (!contains_after(c.out, 0, full_view)) return false;
-        return true;
-      })) {
-    dump_outputs(children);
+  if (!fleet.await(30000, [&]() { return fleet.printed(all, full_view); }))
     die("nodes never converged to the common 3-view");
-  }
   std::fprintf(stderr, "ok: common 3-view at every node\n");
 
   // 2. All 300 multicasts (100 per node) delivered everywhere, in the
   //    full view — total order means n=300 appears exactly once per node.
-  if (!await(children, 60000, [&]() {
-        for (const Child& c : children)
-          if (!contains_after(c.out, 0, "deliver n=300 ")) return false;
-        return true;
-      })) {
-    dump_outputs(children);
+  if (!fleet.await(60000,
+                   [&]() { return fleet.printed(all, "deliver n=300 "); }))
     die("nodes never delivered all 300 multicasts");
-  }
   std::fprintf(stderr, "ok: 300 deliveries at every node\n");
 
   // 3b. The live admin plane: every node's /status must report the same
@@ -303,8 +98,9 @@ int main(int argc, char** argv) {
   //     the Prometheus exposition must be well-formed.
   std::string common_view;
   for (int i = 0; i < kNodes; ++i) {
-    const std::string status = http_get(admin_ports[i], "/status");
-    if (status.find("HTTP/1.0 200") != 0)
+    const std::uint16_t admin = layout.admin[i];
+    const std::string status = admin_get(admin, "/status");
+    if (status.empty())
       die("admin /status of node" + std::to_string(i) + " not served");
     const std::string view = json_field(status, "view");
     if (view.empty())
@@ -316,8 +112,8 @@ int main(int argc, char** argv) {
     if (json_field(status, "mode").empty())
       die("node" + std::to_string(i) + " /status has no mode");
 
-    const std::string metrics = http_get(admin_ports[i], "/metrics");
-    if (metrics.find("HTTP/1.0 200") != 0)
+    const std::string metrics = admin_get(admin, "/metrics");
+    if (metrics.empty())
       die("admin /metrics of node" + std::to_string(i) + " not served");
     if (!contains_after(metrics, 0, "\"transport.datagrams_sent\":"))
       die("node" + std::to_string(i) + " /metrics lacks transport counters");
@@ -334,17 +130,16 @@ int main(int argc, char** argv) {
     if (!contains_after(metrics, 0, "\"node.app_delivered\":"))
       die("node" + std::to_string(i) + " /metrics lacks endpoint counters");
 
-    const std::string prom = http_get(admin_ports[i], "/metrics.prom");
-    if (prom.find("HTTP/1.0 200") != 0 ||
-        !contains_after(prom, 0, "# TYPE transport_datagrams_sent counter"))
+    const std::string prom = admin_get(admin, "/metrics.prom");
+    if (!contains_after(prom, 0, "# TYPE transport_datagrams_sent counter"))
       die("node" + std::to_string(i) + " /metrics.prom malformed");
   }
   std::fprintf(stderr, "ok: admin /status agrees on view %s at every node\n",
                common_view.c_str());
 
   // ... and the fleet tool agrees the fleet is converged.
-  if (run_and_wait({evs_top, "--config", config_paths[0], "--once",
-                    "--expect-converged", "--timeout-ms", "5000"}) != 0)
+  if (run({evs_top, "--config", config_paths[0], "--once",
+           "--expect-converged", "--timeout-ms", "5000"}) != 0)
     die("evs_top --once --expect-converged failed on a converged fleet");
   std::fprintf(stderr, "ok: evs_top sees a converged fleet\n");
 
@@ -356,7 +151,7 @@ int main(int argc, char** argv) {
   const auto fleet_in_mode = [&](const char* want_mode) {
     std::string view0;
     for (int i = 0; i < kNodes; ++i) {
-      const std::string status = http_get(admin_ports[i], "/status");
+      const std::string status = admin_get(layout.admin[i], "/status");
       const std::string view = json_field(status, "view");
       if (view.empty() || json_field(status, "mode") != want_mode)
         return false;
@@ -370,59 +165,42 @@ int main(int argc, char** argv) {
 
   // SIGSTOP node 2: the survivors' detector drops it and they install the
   // 2-view. The stopped process keeps its sockets; nothing is torn down.
-  const std::size_t stop_offset[2] = {children[0].out.size(),
-                                      children[1].out.size()};
-  ::kill(children[2].pid, SIGSTOP);
   const std::string survivor_pair = "size=2 members=0,1";
-  if (!await(children, 60000, [&]() {
-        return contains_after(children[0].out, stop_offset[0],
-                              survivor_pair) &&
-               contains_after(children[1].out, stop_offset[1], survivor_pair);
-      })) {
-    dump_outputs(children);
+  const auto stop_offset = fleet.offsets();
+  fleet.signal(2, SIGSTOP);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed({0, 1}, survivor_pair, stop_offset);
+      }))
     die("survivors never installed the 2-view during the SIGSTOP partition");
-  }
   std::fprintf(stderr, "ok: SIGSTOP partition: survivors in the 2-view\n");
 
   // SIGCONT: the view comes back to {0,1,2}, but the e-view structure must
   // NOT heal by itself — growth is application-controlled, so the fleet
   // reconverges in split mode, partition-era subviews intact.
-  const std::size_t cont_offset[kNodes] = {children[0].out.size(),
-                                           children[1].out.size(),
-                                           children[2].out.size()};
-  ::kill(children[2].pid, SIGCONT);
-  if (!await(children, 60000, [&]() {
-        for (int i = 0; i < kNodes; ++i)
-          if (!contains_after(children[i].out, cont_offset[i], full_view))
-            return false;
-        return true;
-      })) {
-    dump_outputs(children);
+  const auto cont_offset = fleet.offsets();
+  fleet.signal(2, SIGCONT);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed(all, full_view, cont_offset);
+      }))
     die("fleet never reconverged to the 3-view after SIGCONT");
-  }
   bool split = false;
   for (int waited = 0; waited < 30000 && !split; waited += 250) {
-    drain(children, 0);
+    fleet.drain(0);
     split = fleet_in_mode("split");
     if (!split) ::usleep(250 * 1000);
   }
-  if (!split) {
-    dump_outputs(children);
+  if (!split)
     die("healed fleet is not in split mode — structure merged on its own?");
-  }
   std::fprintf(stderr, "ok: healed view is back, e-view still split\n");
 
   // The write side is token-guarded: a wrong token must be refused (401)
   // and counted, and must not merge anything.
-  if (run_and_wait({evs_ctl, "--config", config_paths[0], "--site", "0",
-                    "--token", "wrong", "--timeout-ms", "2000",
-                    "merge-all"}) == 0)
+  if (run({evs_ctl, "--config", config_paths[0], "--site", "0", "--token",
+           "wrong", "--timeout-ms", "2000", "merge-all"}) == 0)
     die("evs_ctl with a wrong token was accepted");
-  {
-    const std::string metrics = http_get(admin_ports[0], "/metrics");
-    if (!contains_after(metrics, 0, "\"admin.dropped_unauthorized\":1"))
-      die("unauthorized POST was not counted in admin.dropped_unauthorized");
-  }
+  if (!contains_after(admin_get(layout.admin[0], "/metrics"), 0,
+                      "\"admin.dropped_unauthorized\":1"))
+    die("unauthorized POST was not counted in admin.dropped_unauthorized");
   std::fprintf(stderr, "ok: wrong-token merge-all refused and counted\n");
 
   // Now the real heal: POST /merge-all to every node (only the current
@@ -431,27 +209,23 @@ int main(int argc, char** argv) {
   // node reports the merged, degenerate e-view.
   bool merged = false;
   for (int attempt = 0; attempt < 40 && !merged; ++attempt) {
-    run_and_wait({evs_ctl, "--config", config_paths[0], "--all",
-                  "--timeout-ms", "2000", "merge-all"});
+    run({evs_ctl, "--config", config_paths[0], "--all", "--timeout-ms", "2000",
+         "merge-all"});
     for (int i = 0; i < 4 && !merged; ++i) {
-      drain(children, 100);
+      fleet.drain(100);
       merged = fleet_in_mode("normal");
       if (!merged) ::usleep(150 * 1000);
     }
   }
-  if (!merged) {
-    dump_outputs(children);
+  if (!merged)
     die("fleet never merged back to normal mode after evs_ctl merge-all");
-  }
-  if (run_and_wait({evs_top, "--config", config_paths[0], "--once",
-                    "--expect-converged", "--timeout-ms", "5000"}) != 0)
+  if (run({evs_top, "--config", config_paths[0], "--once",
+           "--expect-converged", "--timeout-ms", "5000"}) != 0)
     die("evs_top does not see the healed fleet as converged");
-  {
-    // The accepted commands are visible on the admin plane's own counters.
-    const std::string metrics = http_get(admin_ports[0], "/metrics");
-    if (!contains_after(metrics, 0, "\"admin.commands_ok\":"))
-      die("admin.commands_ok missing from /metrics after merge-all");
-  }
+  // The accepted commands are visible on the admin plane's own counters.
+  if (!contains_after(admin_get(layout.admin[0], "/metrics"), 0,
+                      "\"admin.commands_ok\":"))
+    die("admin.commands_ok missing from /metrics after merge-all");
   std::fprintf(stderr,
                "ok: evs_ctl merge-all healed the e-view at every node\n");
 
@@ -460,37 +234,16 @@ int main(int argc, char** argv) {
   ::usleep(500 * 1000);
 
   // 3. SIGKILL node 2; survivors must install the 2-view {0,1}.
-  const std::size_t kill_offset[2] = {children[0].out.size(),
-                                      children[1].out.size()};
-  ::kill(children[2].pid, SIGKILL);
-  reap(children[2]);
-  const std::string survivor_view = "size=2 members=0,1";
-  if (!await(children, 60000, [&]() {
-        return contains_after(children[0].out, kill_offset[0],
-                              survivor_view) &&
-               contains_after(children[1].out, kill_offset[1], survivor_view);
-      })) {
-    dump_outputs(children);
+  const auto kill_offset = fleet.offsets();
+  fleet.kill9(2);
+  if (!fleet.await(60000, [&]() {
+        return fleet.printed({0, 1}, survivor_pair, kill_offset);
+      }))
     die("survivors never installed the 2-view after the kill");
-  }
   std::fprintf(stderr, "ok: survivors installed the 2-view\n");
 
   // 4. Graceful shutdown of the survivors.
-  ::kill(children[0].pid, SIGTERM);
-  ::kill(children[1].pid, SIGTERM);
-  reap(children[0]);
-  reap(children[1]);
-  for (int i = 0; i < 2; ++i) {
-    if (!WIFEXITED(children[i].exit_status) ||
-        WEXITSTATUS(children[i].exit_status) != 0) {
-      dump_outputs(children);
-      die("survivor node" + std::to_string(i) + " exited uncleanly");
-    }
-    if (!contains_after(children[i].out, 0, "summary ")) {
-      dump_outputs(children);
-      die("survivor node" + std::to_string(i) + " printed no summary");
-    }
-  }
+  fleet.shutdown({0, 1});
   std::fprintf(stderr, "ok: survivors exited cleanly\n");
 
   // 5. The union of the three traces passes the view-synchrony checker,
@@ -507,12 +260,10 @@ int main(int argc, char** argv) {
   const std::string artifacts = artifacts_env != nullptr ? artifacts_env : dir;
   const std::string spans_json = artifacts + "/loopback-spans.json";
   const std::string spans_chrome = artifacts + "/loopback-flows.json";
-  if (run_and_wait({trace_check, "--merge", "--spans-json", spans_json,
-                    "--spans-chrome", spans_chrome, traces[0], traces[1],
-                    traces[2]}) != 0) {
-    dump_outputs(children);
+  if (run({trace_check, "--merge", "--spans-json", spans_json,
+           "--spans-chrome", spans_chrome, traces[0], traces[1],
+           traces[2]}) != 0)
     die("trace_check found violations in the merged traces");
-  }
   std::ifstream spans_in(spans_json);
   std::string spans_body((std::istreambuf_iterator<char>(spans_in)),
                          std::istreambuf_iterator<char>());
@@ -521,19 +272,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "ok: merged traces pass trace_check + span analysis\n");
 
   // Success: clean up the scratch directory.
-  for (const std::string& path : traces) {
-    const std::string stem = path.substr(0, path.size() - sizeof(".trace.jsonl") + 1);
-    ::unlink((stem + ".trace.jsonl").c_str());
-    ::unlink((stem + ".chrome.json").c_str());
-    ::unlink((stem + ".metrics.json").c_str());
-    ::unlink((stem + ".metrics.prom").c_str());
-  }
-  if (artifacts == dir) {
-    ::unlink(spans_json.c_str());
-    ::unlink(spans_chrome.c_str());
-  }
-  for (const std::string& path : config_paths) ::unlink(path.c_str());
-  ::rmdir(dir.c_str());
+  remove_tree(dir);
   std::printf("PASS\n");
   return 0;
 }
