@@ -1,6 +1,7 @@
 #include "app/group_object.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "common/check.hpp"
@@ -34,15 +35,6 @@ std::pair<std::uint64_t, std::uint64_t> merged_position(
     enc.put_u64(h);
   }
   return {index + 1, roll_op_hash(0, LoggedOp{{}, 0, std::move(enc).take()})};
-}
-
-int popcount(ProblemSet p) {
-  int n = 0;
-  while (p != 0) {
-    n += p & 1;
-    p >>= 1;
-  }
-  return n;
 }
 
 }  // namespace
@@ -205,8 +197,7 @@ void GroupObjectBase::on_eview(const core::EView& eview) {
     classification_ = Classification{};
     offers_.clear();
     chunks_.clear();
-    awaiting_full_from_.reset();
-    awaiting_delta_from_.reset();
+    awaiting_from_.reset();
     delta_retry_full_ = false;
     last_merge_request_ev_ = UINT64_MAX;
     // Held ops of the old view are dropped with it: a holding member never
@@ -366,10 +357,7 @@ void GroupObjectBase::start_settle(const core::EView& eview) {
   settling_ = true;
   adopted_ = false;
   ++object_stats_.settles_started;
-  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    bus->record({now(), id(), obs::EventKind::ReconcilePhase, eview.view.id, {},
-                 static_cast<std::uint64_t>(obs::ReconcilePhase::SettleStarted)});
-  }
+  trace_phase(obs::ReconcilePhase::SettleStarted);
   current_settle_.problems = kNoProblem;
   current_settle_.started = now();
   current_settle_.serve_ready = 0;
@@ -385,7 +373,7 @@ void GroupObjectBase::start_settle(const core::EView& eview) {
     const ProblemSet possible = classify_flat(
         prior_mode_, eview.view,
         [this](const std::vector<ProcessId>& m) { return can_serve(m); });
-    if (popcount(possible) > 1) ++object_stats_.ambiguous_classifications;
+    if (std::popcount(possible) > 1) ++object_stats_.ambiguous_classifications;
     ++object_stats_.discovery_rounds;
     classification_ready_ = false;
   }
@@ -393,12 +381,8 @@ void GroupObjectBase::start_settle(const core::EView& eview) {
   // its current state (or install a full snapshot): hold this view's ops
   // until then, and stop counting as current — if the view ends first,
   // the held ops are gone and the next settle must bring it up to date.
-  if (object_config_.delta_transfer &&
-      object_config_.classifier == ClassifierMode::Enriched &&
-      object_config_.transfer == TransferStrategy::WholeSnapshot &&
-      classification_.serving_subviews.size() == 1 &&
-      eview.structure.subview_of(id()) !=
-          classification_.serving_subviews.front()) {
+  if (delta_settle() && eview.structure.subview_of(id()) !=
+                            classification_.serving_subviews.front()) {
     holding_ = true;
     state_current_ = false;
   }
@@ -431,25 +415,19 @@ void GroupObjectBase::send_offer_if_rep(const core::EView& eview) {
     offer.serving = prior_mode_ == Mode::Normal;
   }
 
-  // Delta transfer: when the settle already classified as a transfer (the
-  // enriched classifier is local, so this is known before offers go out),
-  // representatives withhold their snapshots. Stale members Pull against
-  // their own recovered basis instead of taking the full state off the
-  // offer — and the stale side's snapshot was dead weight anyway. The
-  // serving subview's representative only defers when its state is
-  // current, because only then will it answer the Pulls.
-  bool deferred = false;
-  if (object_config_.delta_transfer &&
-      object_config_.classifier == ClassifierMode::Enriched &&
-      classification_ready_ && classification_.serving_subviews.size() == 1) {
-    const bool i_serve = classification_.serving_subviews.front() == offer.subview;
-    deferred = !i_serve || state_current_;
-  }
-  offer.deferred = deferred;
+  // Delta transfer: representatives withhold their snapshots. Stale
+  // members Pull against their own recovered basis instead of taking the
+  // full state off the offer — and the stale side's snapshot was dead
+  // weight anyway. The serving subview's representative only defers when
+  // its state is current, because only then will it answer the Pulls.
+  offer.deferred =
+      delta_settle() &&
+      (classification_.serving_subviews.front() != offer.subview ||
+       state_current_);
 
   Bytes full;
   bool split = false;
-  if (deferred) {
+  if (offer.deferred) {
     ++object_stats_.deferred_offers;
   } else {
     full = snapshot_state();
@@ -541,33 +519,26 @@ void GroupObjectBase::handle_chunk(ProcessId sender, Decoder& dec) {
   const std::uint64_t total = dec.get_varint();
   Bytes part = dec.get_bytes();
   if (view != eview().view.id) return;
-  ChunkAssembly& assembly = chunks_[sender];
-  assembly.expected = total;
+  std::map<std::uint64_t, Bytes>& parts = chunks_[sender];
   if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
     bus->record({now(), id(), obs::EventKind::StateTransferChunk, view, sender,
                  index, part.size(), total});
   }
-  assembly.parts.emplace(index, std::move(part));
+  parts.emplace(index, std::move(part));
   EVS_DEBUG(to_string(id()) << " chunk " << index << "/" << total << " from "
-            << to_string(sender) << " have=" << assembly.parts.size()
-            << " awaiting=" << (awaiting_full_from_ ? to_string(*awaiting_full_from_) : "none"));
+            << to_string(sender) << " have=" << parts.size()
+            << " awaiting=" << (awaiting_from_ ? to_string(*awaiting_from_) : "none"));
   maybe_complete_settle();
   maybe_finish_chunks();
 }
 
 void GroupObjectBase::maybe_finish_chunks() {
-  if (!adopted_ || !awaiting_full_from_) return;
-  const auto it = chunks_.find(*awaiting_full_from_);
-  if (it == chunks_.end() || it->second.parts.size() != it->second.expected ||
-      it->second.expected == 0) {
-    return;
-  }
-  Bytes full;
-  for (const auto& [index, part] : it->second.parts)
-    full.insert(full.end(), part.begin(), part.end());
-  const Offer& offer = offers_.at(*awaiting_full_from_);
-  awaiting_full_from_.reset();
-  if (!install_at_cut(full, offer.op_index, offer.op_hash, 0)) {
+  if (!adopted_ || !awaiting_from_) return;
+  const std::optional<Bytes> full = offered_state(*awaiting_from_);
+  if (!full) return;  // chunks still in flight, or a Delta answers the wait
+  const Offer& offer = offers_.at(*awaiting_from_);
+  awaiting_from_.reset();
+  if (!install_at_cut(*full, offer.op_index, offer.op_hash, 0)) {
     // The assembled state was garbage: surrender the small-part serve
     // claim too — a member must not keep serving on state it cannot
     // complete. The next view change restarts the settle.
@@ -575,29 +546,37 @@ void GroupObjectBase::maybe_finish_chunks() {
     return;
   }
   current_settle_.fully_done = now();
-  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    bus->record({now(), id(), obs::EventKind::ReconcilePhase,
-                 eview().view.id, {},
-                 static_cast<std::uint64_t>(obs::ReconcilePhase::FullyDone)});
-  }
-  settle_log_.push_back(current_settle_);
+  finish_settle();
   try_reconcile();
+}
+
+std::optional<Bytes> GroupObjectBase::offered_state(ProcessId sender) const {
+  const Offer& offer = offers_.at(sender);
+  if (offer.deferred) return std::nullopt;
+  if (offer.chunk_count == 0) return offer.snapshot;
+  const auto it = chunks_.find(sender);
+  if (it == chunks_.end() || it->second.size() != offer.chunk_count)
+    return std::nullopt;
+  Bytes full;
+  for (const auto& [index, part] : it->second)
+    full.insert(full.end(), part.begin(), part.end());
+  return full;
 }
 
 // ------------------------------------------------------- delta transfer ---
 
 void GroupObjectBase::send_pull(bool want_full) {
-  EVS_CHECK(awaiting_delta_from_.has_value());
+  EVS_CHECK(awaiting_from_.has_value());
   ++object_stats_.delta_pulls;
   Encoder enc;
   enc.put_u8(static_cast<std::uint8_t>(FrameKind::Pull));
   enc.put_view_id(eview().view.id);
-  enc.put_process(*awaiting_delta_from_);
+  enc.put_process(*awaiting_from_);
   enc.put_bool(want_full);
   enc.put_varint(op_log_.index());
   enc.put_u64(op_log_.hash());
   EVS_DEBUG(to_string(id()) << " pulls " << (want_full ? "full" : "delta")
-            << " from " << to_string(*awaiting_delta_from_));
+            << " from " << to_string(*awaiting_from_));
   app_multicast(std::move(enc).take());
 }
 
@@ -656,7 +635,8 @@ void GroupObjectBase::handle_delta(ProcessId sender, Decoder& dec) {
   const Bytes payload = dec.get_bytes();
   if (view != eview().view.id) return;  // stale
   if (target != id()) return;           // answer to another member's Pull
-  if (!awaiting_delta_from_ || *awaiting_delta_from_ != sender) return;
+  // Only the wait on this source's deferred offer takes a Delta answer.
+  if (awaiting_from_ != sender || !offers_.at(sender).deferred) return;
   object_stats_.delta_bytes_received += payload.size();
   bool ok = view_ops_cover(cut_ops);
   if (ok && full) {
@@ -688,21 +668,8 @@ void GroupObjectBase::handle_delta(ProcessId sender, Decoder& dec) {
     }
     return;
   }
-  finish_delta_settle();
-}
-
-void GroupObjectBase::finish_delta_settle() {
-  awaiting_delta_from_.reset();
-  state_current_ = true;
-  const SimTime t_now = now();
-  current_settle_.serve_ready = t_now;
-  current_settle_.fully_done = t_now;
-  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    bus->record({t_now, id(), obs::EventKind::ReconcilePhase,
-                 eview().view.id, {},
-                 static_cast<std::uint64_t>(obs::ReconcilePhase::FullyDone)});
-  }
-  settle_log_.push_back(current_settle_);
+  state_ready(true);
+  finish_settle();
   maybe_request_merges();
   try_reconcile();
 }
@@ -717,8 +684,7 @@ bool GroupObjectBase::view_ops_cover(std::uint64_t cut_ops) const {
 }
 
 bool GroupObjectBase::install_may_come() const {
-  return settling_ &&
-         (!adopted_ || awaiting_full_from_ || awaiting_delta_from_);
+  return settling_ && (!adopted_ || awaiting_from_);
 }
 
 void GroupObjectBase::apply_op(const LoggedOp& op) {
@@ -842,41 +808,22 @@ void GroupObjectBase::maybe_complete_settle() {
 }
 
 void GroupObjectBase::adopt_states() {
-  // Per-subview source offer: the minimum sender claiming each subview.
-  std::map<SubviewId, const Offer*> source;
-  std::map<SubviewId, ProcessId> source_sender;
-  for (const auto& [sender, offer] : offers_) {
-    const auto it = source_sender.find(offer.subview);
-    if (it == source_sender.end() || sender < it->second) {
-      source_sender[offer.subview] = sender;
-      source[offer.subview] = &offer;
-    }
-  }
+  // Each subview's source is its lowest sender (offers_ is ordered).
+  std::map<SubviewId, ProcessId> source;
+  for (const auto& [sender, offer] : offers_)
+    source.try_emplace(offer.subview, sender);
 
-  const auto full_of = [&](SubviewId sv) -> std::optional<Bytes> {
-    const Offer* offer = source.at(sv);
-    if (offer->chunk_count == 0) return offer->snapshot;
-    const auto it = chunks_.find(source_sender.at(sv));
-    if (it == chunks_.end() || it->second.parts.size() != offer->chunk_count)
-      return std::nullopt;
-    Bytes full;
-    for (const auto& [index, part] : it->second.parts)
-      full.insert(full.end(), part.begin(), part.end());
-    return full;
-  };
-
-  const SimTime t_now = now();
   const auto& serving = classification_.serving_subviews;
-
   if (serving.size() >= 2) {
     // State merging: requires every cluster's *full* state.
     std::vector<Bytes> inputs;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> positions;
     for (const SubviewId sv : serving) {
-      auto full = full_of(sv);
+      std::optional<Bytes> full = offered_state(source.at(sv));
       if (!full) return;  // chunks still in flight; retry on next chunk
       inputs.push_back(*std::move(full));
-      positions.emplace_back(source.at(sv)->op_index, source.at(sv)->op_hash);
+      const Offer& offer = offers_.at(source.at(sv));
+      positions.emplace_back(offer.op_index, offer.op_hash);
     }
     // merge_cluster_states decodes peer snapshots too: a malformed input
     // is a counted rejection (everyone computes the same merge over the
@@ -892,11 +839,7 @@ void GroupObjectBase::adopt_states() {
     }
     ++object_stats_.merges;
     if (!classification_.r_set.empty()) ++object_stats_.transfers;
-    if (ok) {
-      state_current_ = true;
-      current_settle_.serve_ready = t_now;
-      current_settle_.fully_done = t_now;
-    }
+    if (ok) state_ready(true);
   } else if (serving.size() == 1) {
     // State transfer: stale members adopt the serving subview's state.
     const SubviewId src = serving.front();
@@ -905,106 +848,87 @@ void GroupObjectBase::adopt_states() {
             ? eview().structure.subview_of(id()) == src
             : offers_.contains(id()) && offers_.at(id()).subview == src;
     if (i_am_source && state_current_) {
-      current_settle_.serve_ready = t_now;
-      current_settle_.fully_done = t_now;
+      state_ready(true);
     } else {
-      const Offer* offer = source.at(src);
-      if (offer->deferred) {
-        // Bounded-delta path: the source withheld its snapshot; ask it to
-        // upgrade this member's recovered basis instead. finish_delta_
-        // settle() supplies the timestamps once the answer installs.
-        awaiting_delta_from_ = source_sender.at(src);
-        send_pull(false);
-      } else if (offer->chunk_count == 0) {
-        if (install_at_cut(offer->snapshot, offer->op_index, offer->op_hash,
-                           0)) {
-          state_current_ = true;
-          current_settle_.serve_ready = t_now;
-          current_settle_.fully_done = t_now;
-        }
-      } else {
-        // Split strategy: critical part now, bulk later.
-        bool small_ok = true;
-        try {
-          install_small(offer->snapshot);
-        } catch (const DecodeError&) {
-          ++object_stats_.snapshot_decode_errors;
-          small_ok = false;
-        }
-        if (const auto full = full_of(src)) {
-          if (install_at_cut(*full, offer->op_index, offer->op_hash, 0)) {
-            state_current_ = true;
-            current_settle_.serve_ready = t_now;
-            current_settle_.fully_done = t_now;
-          }
-        } else if (small_ok) {
-          awaiting_full_from_ = source_sender.at(src);
-          state_current_ = true;
-          current_settle_.serve_ready = t_now;
-        }
-      }
+      adopt_offer(source.at(src));
     }
     ++object_stats_.transfers;
   } else {
     // State creation: adopt the freshest state anyone can produce,
     // last-process-to-fail first (recovered epoch), then version.
-    const Offer* winner = nullptr;
-    ProcessId winner_sender{};
-    for (const auto& [sender, offer] : offers_) {
-      const auto key = std::make_tuple(offer.version, offer.recovered_epoch,
-                                       sender);
-      if (winner == nullptr ||
-          key > std::make_tuple(winner->version, winner->recovered_epoch,
-                                winner_sender)) {
-        winner = &offer;
-        winner_sender = sender;
-      }
-    }
-    EVS_CHECK(winner != nullptr);
-    bool ok = true;
-    if (winner_sender != id()) {
-      auto full = full_of(winner->subview);
-      if (winner->chunk_count != 0 && !full) {
-        try {
-          install_small(winner->snapshot);
-          awaiting_full_from_ = winner_sender;  // bulk still streaming
-        } catch (const DecodeError&) {
-          ++object_stats_.snapshot_decode_errors;
-          ok = false;
-        }
-      } else if (full) {
-        ok = install_at_cut(*full, winner->op_index, winner->op_hash, 0);
-        if (ok) current_settle_.fully_done = t_now;
-      }
+    const auto winner = std::max_element(
+        offers_.begin(), offers_.end(), [](const auto& a, const auto& b) {
+          return std::tie(a.second.version, a.second.recovered_epoch, a.first) <
+                 std::tie(b.second.version, b.second.recovered_epoch, b.first);
+        });
+    EVS_CHECK(winner != offers_.end());
+    if (winner->first == id()) {
+      state_ready(true);
     } else {
-      current_settle_.fully_done = t_now;
-    }
-    if (ok) {
-      state_current_ = true;
-      current_settle_.serve_ready = t_now;
+      adopt_offer(winner->first);
     }
     ++object_stats_.creations;
   }
 
-  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    bus->record({t_now, id(), obs::EventKind::ReconcilePhase, eview().view.id,
-                 {}, static_cast<std::uint64_t>(obs::ReconcilePhase::StateAdopted),
-                 static_cast<std::uint64_t>(classification_.problems)});
-  }
-  if (current_settle_.fully_done == 0) {
-    // Still waiting for chunks: stay in "adopted but filling" state. The
-    // settle counts as serveable; chunk arrivals will finish it.
-    adopted_ = true;
-    ++object_stats_.settles_completed;
-    return;
-  }
+  trace_phase(obs::ReconcilePhase::StateAdopted, classification_.problems);
   adopted_ = true;
   ++object_stats_.settles_completed;
-  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
-    bus->record({t_now, id(), obs::EventKind::ReconcilePhase, eview().view.id,
-                 {}, static_cast<std::uint64_t>(obs::ReconcilePhase::FullyDone)});
+  // A settle still waiting is finished by its chunks or Delta answer; a
+  // failed install leaves it open until the next view change.
+  if (current_settle_.fully_done != 0) finish_settle();
+}
+
+void GroupObjectBase::adopt_offer(ProcessId sender) {
+  const Offer& offer = offers_.at(sender);
+  if (offer.deferred) {
+    // Bounded-delta path: the source withheld its snapshot; ask it to
+    // upgrade this member's basis instead. The Delta answer finishes the
+    // settle.
+    awaiting_from_ = sender;
+    send_pull(false);
+    return;
   }
+  if (const std::optional<Bytes> full = offered_state(sender)) {
+    if (install_at_cut(*full, offer.op_index, offer.op_hash, 0))
+      state_ready(true);
+    return;
+  }
+  // Split strategy: the critical part now, the bulk as its chunks arrive.
+  try {
+    install_small(offer.snapshot);
+  } catch (const DecodeError&) {
+    ++object_stats_.snapshot_decode_errors;
+    return;
+  }
+  awaiting_from_ = sender;
+  state_ready(false);
+}
+
+void GroupObjectBase::state_ready(bool complete) {
+  state_current_ = true;
+  current_settle_.serve_ready = now();
+  if (complete) current_settle_.fully_done = current_settle_.serve_ready;
+}
+
+void GroupObjectBase::finish_settle() {
+  awaiting_from_.reset();
+  trace_phase(obs::ReconcilePhase::FullyDone);
   settle_log_.push_back(current_settle_);
+}
+
+bool GroupObjectBase::delta_settle() const {
+  return object_config_.delta_transfer &&
+         object_config_.classifier == ClassifierMode::Enriched &&
+         object_config_.transfer == TransferStrategy::WholeSnapshot &&
+         classification_ready_ && classification_.serving_subviews.size() == 1;
+}
+
+void GroupObjectBase::trace_phase(obs::ReconcilePhase phase,
+                                  std::uint64_t detail) {
+  if (auto* bus = trace(); bus != nullptr && bus->enabled()) {
+    bus->record({now(), id(), obs::EventKind::ReconcilePhase, eview().view.id,
+                 {}, static_cast<std::uint64_t>(phase), detail});
+  }
 }
 
 void GroupObjectBase::maybe_request_merges() {
@@ -1038,9 +962,8 @@ void GroupObjectBase::try_reconcile() {
                  {}, static_cast<std::uint64_t>(Transition::Reconcile),
                  static_cast<std::uint64_t>(Mode::Normal),
                  static_cast<std::uint64_t>(before)});
-    bus->record({now(), id(), obs::EventKind::ReconcilePhase, eview().view.id,
-                 {}, static_cast<std::uint64_t>(obs::ReconcilePhase::Reconciled)});
   }
+  trace_phase(obs::ReconcilePhase::Reconciled);
   on_mode_change(before, machine_->mode());
 }
 

@@ -31,7 +31,12 @@
 // state inside the OFFER; SplitSmallLarge ships a small critical part
 // synchronously and streams the rest in chunks while the new view is
 // already serving — time-to-serve vs time-to-full-state are recorded for
-// the CLAIM-XFER bench.
+// the CLAIM-XFER bench. Whichever problem the settle faces, a stale
+// member adopts one offer the same way (adopt_offer), and the offer's own
+// fields pick the path: a deferred offer is Pulled (delta transfer, below),
+// a whole state at hand is installed at its cut, and otherwise the small
+// part is installed at once and the settle waits for the chunks. Merging
+// waits until every cluster's whole state is at hand.
 //
 // Every applied Object op also advances the object's ordered-op log
 // (app/op_log.hpp): a per-object (index, rolling hash) position, the
@@ -344,12 +349,32 @@ class GroupObjectBase : public core::EvsEndpoint, private core::EvsDelegate {
   /// Whether view_ops_ holds every op past `cut_ops` (else no install at
   /// that cut can complete in this view).
   bool view_ops_cover(std::uint64_t cut_ops) const;
-  /// Marks the settle state-complete (delta path): timestamps, trace,
-  /// settle log, reconciliation.
-  void finish_delta_settle();
   void maybe_complete_settle();
+  /// The Section-4 switch: picks the offer each stale member adopts
+  /// (transfer source, creation winner) or merges every cluster's state.
   void adopt_states();
+  /// Installs `sender`'s offer: Pulls when it was deferred, installs it at
+  /// its cut when its whole state is at hand, else installs the small part
+  /// and waits for the chunks.
+  void adopt_offer(ProcessId sender);
+  /// The whole state `sender` offered — its snapshot, or its chunk_count
+  /// chunks joined once all have arrived; nullopt while chunks are missing
+  /// or when the offer was deferred.
+  std::optional<Bytes> offered_state(ProcessId sender) const;
+  /// Finishes a chunk wait once the awaited offer's state is whole.
   void maybe_finish_chunks();
+  /// The state may serve from now (stamps serve_ready, and fully_done too
+  /// when `complete`).
+  void state_ready(bool complete);
+  /// The settle's state is complete: ends the wait, traces FullyDone and
+  /// logs the settle.
+  void finish_settle();
+  /// This settle moves state by bounded delta: a transfer from the single
+  /// serving subview under config.delta_transfer (enriched classifier,
+  /// WholeSnapshot). Representatives then defer their offers and stale
+  /// members hold their in-view ops for the Pull.
+  bool delta_settle() const;
+  void trace_phase(obs::ReconcilePhase phase, std::uint64_t detail = 0);
   void maybe_request_merges();
   void try_reconcile();
   bool my_subview_serves() const;
@@ -370,15 +395,11 @@ class GroupObjectBase : public core::EvsEndpoint, private core::EvsDelegate {
   bool settling_ = false;
   bool adopted_ = false;
   std::map<ProcessId, Offer> offers_;
-  struct ChunkAssembly {
-    std::uint64_t expected = 0;
-    std::map<std::uint64_t, Bytes> parts;
-  };
-  std::map<ProcessId, ChunkAssembly> chunks_;
-  /// Set while a split transfer's bulk is still streaming in.
-  std::optional<ProcessId> awaiting_full_from_;
-  /// Set while a deferred (delta) transfer's answer is outstanding.
-  std::optional<ProcessId> awaiting_delta_from_;
+  /// Chunk parts by sender, then by index.
+  std::map<ProcessId, std::map<std::uint64_t, Bytes>> chunks_;
+  /// The source whose answer the adopted settle still waits for: its
+  /// chunks, or (when its offer was deferred) its Delta.
+  std::optional<ProcessId> awaiting_from_;
   /// One full-snapshot retry per settle when the served delta does not
   /// lead to the source's cut (a malformed or mismatched answer).
   bool delta_retry_full_ = false;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -34,6 +35,25 @@ GroupObjectConfig plain_config(const std::vector<SiteId>& universe) {
   GroupObjectConfig cfg;
   cfg.endpoint.universe = universe;
   return cfg;
+}
+
+// SplitSmallLarge with chunks small enough that every state below streams
+// in several of them.
+ReplicatedFileConfig split_file_config(const std::vector<SiteId>& universe) {
+  ReplicatedFileConfig cfg = file_config(universe);
+  cfg.object.transfer = app::TransferStrategy::SplitSmallLarge;
+  cfg.object.chunk_bytes = 1024;
+  return cfg;
+}
+
+/// The last logged (state-complete) settle of `obj` that faced `problem`.
+const app::SettleRecord* last_settle(const app::GroupObjectBase& obj,
+                                     app::ProblemSet problem) {
+  const app::SettleRecord* found = nullptr;
+  for (const app::SettleRecord& rec : obj.settle_log()) {
+    if (rec.problems & problem) found = &rec;
+  }
+  return found;
 }
 
 // ------------------------------------------------------- ReplicatedFile ---
@@ -202,6 +222,74 @@ TEST(ReplicatedFile, FlatDiscoveryModeAlsoConvergesButPaysForIt) {
   EXPECT_GT(c.obj(2).object_stats().ambiguous_classifications, 0u);
   // And every member shipped a snapshot, not just subview reps.
   EXPECT_GT(c.obj(1).object_stats().discovery_messages, 0u);
+}
+
+TEST(ReplicatedFile, SplitTransferServesBeforeTheBulkArrives) {
+  ObjectCluster<ReplicatedFile, ReplicatedFileConfig> c(
+      3, 31, [](const auto& u) { return split_file_config(u); }, {}, false);
+  c.spawn_at(c.site(0));
+  c.spawn_at(c.site(1));
+  ASSERT_TRUE(c.await_all_normal({0, 1}));
+  const std::string big = std::string(16 * 1024, 'b') + "-end";
+  ASSERT_TRUE(c.obj(0).write(big));
+  ASSERT_TRUE(c.await([&]() { return c.obj(1).content() == big; }));
+
+  c.spawn_at(c.site(2));
+  ASSERT_TRUE(c.await([&]() {
+    return c.all_normal(c.all_indices()) &&
+           last_settle(c.obj(2), app::kStateTransfer) != nullptr;
+  }));
+  // The joiner served on the small part and finished on the chunks.
+  const app::SettleRecord* rec = last_settle(c.obj(2), app::kStateTransfer);
+  EXPECT_LT(rec->serve_ready, rec->fully_done);
+  EXPECT_GT(c.obj(0).object_stats().chunk_messages +
+                c.obj(1).object_stats().chunk_messages,
+            0u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.obj(i).content(), big) << "site " << i;
+    EXPECT_EQ(c.obj(i).mode(), Mode::Normal) << "site " << i;
+  }
+}
+
+TEST(ReplicatedFile, SplitCreationTakesTheWinnersChunks) {
+  ObjectCluster<ReplicatedFile, ReplicatedFileConfig> c(
+      3, 32, [](const auto& u) { return split_file_config(u); });
+  ASSERT_TRUE(c.await_all_normal(c.all_indices()));
+  ASSERT_TRUE(c.obj(0).write("v1"));
+  ASSERT_TRUE(c.await([&]() { return c.obj(2).content() == "v1"; }));
+
+  // Site 0 misses the big write; then every site fails, so the group must
+  // create its state from the freshest (chunked) offer.
+  c.world().crash_site(c.site(0));
+  ASSERT_TRUE(c.await_all_normal({1, 2}));
+  const std::string big = std::string(12 * 1024, 'c') + "-end";
+  ASSERT_TRUE(c.obj(1).write(big));
+  ASSERT_TRUE(c.await([&]() { return c.obj(2).content() == big; }));
+  c.world().crash_site(c.site(1));
+  c.world().crash_site(c.site(2));
+  c.world().run_for(500 * kMillisecond);
+  for (const SiteId site : c.sites()) c.world().respawn(site);
+
+  ASSERT_TRUE(c.await([&]() {
+    if (!c.all_normal(c.all_indices())) return false;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (c.obj(i).content() != big) return false;
+    }
+    return true;
+  }));
+  // Some member adopted the winner's small part first and completed on
+  // its chunks.
+  bool waited_for_chunks = false;
+  std::uint64_t chunks = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const app::SettleRecord* rec = last_settle(c.obj(i), app::kStateCreation);
+    if (rec != nullptr && rec->serve_ready < rec->fully_done)
+      waited_for_chunks = true;
+    chunks += c.obj(i).object_stats().chunk_messages;
+    EXPECT_GE(c.obj(i).object_stats().creations, 1u) << "site " << i;
+  }
+  EXPECT_TRUE(waited_for_chunks);
+  EXPECT_GT(chunks, 0u);
 }
 
 // ----------------------------------------------------------- ParallelDb ---
@@ -427,6 +515,78 @@ TEST(MergeableKv, ProgressesInBothPartitionsAndMergesOnHeal) {
     // LWW: the partition-era rewrite has the higher Lamport stamp.
     EXPECT_EQ(c.obj(i).get("shared"), "rewritten-right") << i;
     EXPECT_TRUE(c.obj(i).object_stats().last_problems & app::kStateMerging) << i;
+  }
+}
+
+TEST(MergeableKv, SplitMergeWaitsForEveryClustersChunks) {
+  ObjectCluster<MergeableKv, GroupObjectConfig> c(4, 33, [](const auto& u) {
+    GroupObjectConfig cfg = plain_config(u);
+    cfg.transfer = app::TransferStrategy::SplitSmallLarge;
+    cfg.chunk_bytes = 256;
+    return cfg;
+  });
+  ASSERT_TRUE(c.await_all_normal(c.all_indices()));
+  ASSERT_TRUE(c.obj(0).put("shared", "original"));
+  c.world().run_for(2 * kSecond);
+
+  c.world().network().set_partition(
+      {{c.site(0), c.site(1)}, {c.site(2), c.site(3)}});
+  ASSERT_TRUE(c.await_all_normal({0, 1}));
+  ASSERT_TRUE(c.await_all_normal({2, 3}));
+  // Each side grows its state past several chunks.
+  const std::string pad(64, 'p');
+  for (int k = 0; k < 16; ++k) {
+    ASSERT_TRUE(c.obj(0).put("left" + std::to_string(k), "L" + pad));
+    ASSERT_TRUE(c.obj(3).put("right" + std::to_string(k), "R" + pad));
+  }
+  ASSERT_TRUE(c.obj(2).put("shared", "rewritten-right"));
+  c.world().run_for(2 * kSecond);
+  std::vector<std::uint64_t> chunks_before;
+  for (std::size_t i = 0; i < 4; ++i)
+    chunks_before.push_back(c.obj(i).object_stats().chunk_messages);
+
+  c.world().network().heal();
+  ASSERT_TRUE(c.await([&]() {
+    if (!c.all_normal(c.all_indices())) return false;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (!(c.obj(i).object_stats().last_problems & app::kStateMerging))
+        return false;
+    }
+    return true;
+  }));
+  c.world().run_for(2 * kSecond);
+  // The merge needed both clusters' whole states, which came in chunks:
+  // no member finished it before the last chunk left its sender (a
+  // settle's chunk i goes out i + 1 chunk intervals after it started).
+  const SimDuration interval = GroupObjectConfig{}.chunk_interval;
+  std::size_t senders = 0;
+  SimTime last_chunk_sent = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint64_t sent =
+        c.obj(i).object_stats().chunk_messages - chunks_before[i];
+    if (sent == 0) continue;
+    ++senders;
+    const app::SettleRecord* rec = last_settle(c.obj(i), app::kStateMerging);
+    ASSERT_NE(rec, nullptr) << i;
+    last_chunk_sent = std::max(
+        last_chunk_sent, rec->started + sent * interval);
+  }
+  EXPECT_EQ(senders, 2u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_GE(last_settle(c.obj(i), app::kStateMerging)->fully_done,
+              last_chunk_sent)
+        << i;
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.obj(i).size(), c.obj(0).size()) << i;
+    EXPECT_EQ(c.obj(i).version(), c.obj(0).version()) << i;
+    EXPECT_EQ(c.obj(i).get("shared"), "rewritten-right") << i;
+    for (int k = 0; k < 16; ++k) {
+      EXPECT_EQ(c.obj(i).get("left" + std::to_string(k)), "L" + pad) << i;
+      EXPECT_EQ(c.obj(i).get("right" + std::to_string(k)), "R" + pad) << i;
+    }
+    EXPECT_EQ(c.obj(i).op_log().index(), c.obj(0).op_log().index()) << i;
+    EXPECT_EQ(c.obj(i).op_log().hash(), c.obj(0).op_log().hash()) << i;
   }
 }
 

@@ -46,7 +46,9 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/group_object.hpp"
@@ -118,6 +120,53 @@ std::string members_csv(const std::vector<ProcessId>& members) {
   return out;
 }
 
+/// The `view` status line; `label` ("group=<g> " in multi-group mode, else
+/// empty) follows the keyword.
+void print_view(const std::string& label, const core::EView& eview) {
+  std::printf("view %sepoch=%llu coordinator=%u size=%zu members=%s\n",
+              label.c_str(),
+              static_cast<unsigned long long>(eview.view.id.epoch),
+              eview.view.id.coordinator.site.value, eview.view.size(),
+              members_csv(eview.view.members).c_str());
+}
+
+/// The hosted group object of `kind` ("kv", "lock", "file", or "log" when
+/// `shard` gives its index and the shard count); nullptr for any other
+/// kind. Behind a durable store, objects survive their process: they
+/// persist state and rejoin via bounded-delta transfer after a restart.
+std::unique_ptr<app::GroupObjectBase> make_object(
+    const std::string& kind, net::NetRuntime& rt,
+    const net::NodeConfig& config,
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> shard = {}) {
+  app::GroupObjectConfig oc;
+  oc.endpoint = rt.endpoint_config();
+  oc.persist_state = !config.store_dir.empty();
+  oc.delta_transfer = oc.persist_state;
+  if (kind == "kv") return std::make_unique<objects::MergeableKv>(oc);
+  if (kind == "lock") return std::make_unique<objects::LockManager>(oc);
+  if (kind == "file") {
+    return std::make_unique<objects::ReplicatedFile>(
+        objects::ReplicatedFileConfig{oc, {}, 0});
+  }
+  if (kind == "log" && shard) {
+    return std::make_unique<log::LogShard>(
+        log::LogShardConfig{oc, shard->first, shard->second});
+  }
+  return nullptr;
+}
+
+/// Prints a `view` line for each view change `object` installs, counting
+/// them in `views`.
+void print_views(app::GroupObjectBase& object, std::string label,
+                 std::uint64_t& views) {
+  object.set_view_observer(
+      [label = std::move(label), &views](const core::EView& eview) {
+        if (eview.ev_seq != 0) return;
+        ++views;
+        print_view(label, eview);
+      });
+}
+
 /// Prints status lines and drives the multicast workload.
 class NodeDriver : public core::EvsDelegate {
  public:
@@ -129,10 +178,7 @@ class NodeDriver : public core::EvsDelegate {
   void on_eview(const core::EView& eview) override {
     if (eview.ev_seq != 0) return;  // view changes only, not sv-set merges
     ++views_installed_;
-    std::printf("view epoch=%llu coordinator=%u size=%zu members=%s\n",
-                static_cast<unsigned long long>(eview.view.id.epoch),
-                eview.view.id.coordinator.site.value, eview.view.size(),
-                members_csv(eview.view.members).c_str());
+    print_view("", eview);
     if (eview.view.size() == rt_.transport().config().peers.size())
       on_full_view();
   }
@@ -275,44 +321,21 @@ int main(int argc, char** argv) {
     }
     const std::vector<net::GroupSpec> shard_specs = config.log_shards();
     for (const net::GroupSpec& g : config.groups) {
-      app::GroupObjectConfig oc;
-      oc.endpoint = rt.endpoint_config();
-      // Behind a durable store, objects survive their process: persist
-      // state and rejoin via bounded-delta transfer after a restart.
-      oc.persist_state = !config.store_dir.empty();
-      oc.delta_transfer = oc.persist_state;
-      std::unique_ptr<app::GroupObjectBase> obj;
-      if (g.object == "kv") {
-        obj = std::make_unique<objects::MergeableKv>(oc);
-      } else if (g.object == "lock") {
-        obj = std::make_unique<objects::LockManager>(oc);
-      } else if (g.object == "file") {
-        obj = std::make_unique<objects::ReplicatedFile>(
-            objects::ReplicatedFileConfig{oc, {}, 0});
-      } else if (g.object == "log") {
-        std::uint32_t index = 0;
-        for (std::size_t s = 0; s < shard_specs.size(); ++s)
-          if (shard_specs[s].id == g.id)
-            index = static_cast<std::uint32_t>(s);
-        obj = std::make_unique<log::LogShard>(log::LogShardConfig{
-            oc, index, static_cast<std::uint32_t>(shard_specs.size())});
-        router.add_shard(index, *obj);
-      } else {  // "none": groups exist to serve; a bare member adds none
+      std::uint32_t index = 0;
+      for (std::size_t s = 0; s < shard_specs.size(); ++s)
+        if (shard_specs[s].id == g.id) index = static_cast<std::uint32_t>(s);
+      std::unique_ptr<app::GroupObjectBase> obj = make_object(
+          g.object, rt, config,
+          std::pair{index, static_cast<std::uint32_t>(shard_specs.size())});
+      // "none": groups exist to serve; a bare member adds none.
+      if (obj == nullptr) {
         std::fprintf(stderr, "group %u: object 'none' is not hostable in "
                              "multi-group mode\n", g.id);
         return 2;
       }
+      if (g.object == "log") router.add_shard(index, *obj);
       router.add_group(g.id, *obj);
-      const GroupId gid = g.id;
-      obj->set_view_observer([gid, &object_views](const core::EView& ev) {
-        if (ev.ev_seq != 0) return;
-        ++object_views;
-        std::printf("view group=%u epoch=%llu coordinator=%u size=%zu "
-                    "members=%s\n",
-                    gid, static_cast<unsigned long long>(ev.view.id.epoch),
-                    ev.view.id.coordinator.site.value, ev.view.size(),
-                    members_csv(ev.view.members).c_str());
-      });
+      print_views(*obj, "group=" + std::to_string(g.id) + " ", object_views);
       group_objects.push_back(std::move(obj));
       rt.host_group(g.id, *group_objects.back());
       if (endpoint == nullptr) endpoint = group_objects.front().get();
@@ -329,29 +352,10 @@ int main(int argc, char** argv) {
                            "be combined with --object\n");
       return 2;
     }
-    app::GroupObjectConfig oc;
-    oc.endpoint = rt.endpoint_config();
-    oc.persist_state = !config.store_dir.empty();
-    oc.delta_transfer = oc.persist_state;
-    if (options.object_kind == "kv") {
-      object = std::make_unique<objects::MergeableKv>(oc);
-    } else if (options.object_kind == "lock") {
-      object = std::make_unique<objects::LockManager>(oc);
-    } else if (options.object_kind == "file") {
-      object = std::make_unique<objects::ReplicatedFile>(
-          objects::ReplicatedFileConfig{oc, {}, 0});
-    } else {
-      return usage(argv[0]);
-    }
+    object = make_object(options.object_kind, rt, config);
+    if (object == nullptr) return usage(argv[0]);
     endpoint = object.get();
-    object->set_view_observer([&object_views](const core::EView& eview) {
-      if (eview.ev_seq != 0) return;
-      ++object_views;
-      std::printf("view epoch=%llu coordinator=%u size=%zu members=%s\n",
-                  static_cast<unsigned long long>(eview.view.id.epoch),
-                  eview.view.id.coordinator.site.value, eview.view.size(),
-                  members_csv(eview.view.members).c_str());
-    });
+    print_views(*object, "", object_views);
   }
   if (!multi_group) rt.host(*endpoint);
 
