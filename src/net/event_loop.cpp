@@ -152,6 +152,7 @@ std::size_t EventLoop::fire_due_timers() {
       if (it == timer_callbacks_.end()) continue;
       auto fn = std::move(it->second);
       timer_callbacks_.erase(it);
+      late_us_.record(static_cast<double>(now() - entry.deadline));
       fn();
       ++fired;
     }

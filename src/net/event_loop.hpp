@@ -24,6 +24,7 @@
 
 #include "common/time.hpp"
 #include "net/timer_wheel.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/runtime.hpp"
 
 namespace evs::net {
@@ -89,6 +90,11 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   std::size_t queued_timers() const { return wheel_.size(); }
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
 
+  /// How late each fired timer ran, in µs (fire time minus deadline): the
+  /// loop's own lag, from blocking callbacks, fsyncs or a descheduled
+  /// thread. Exported as net.loop_late_us.
+  const obs::Histogram& late_us() const { return late_us_; }
+
  private:
   /// One pass: waits for fds/timers (capped at `max_wait` µs) and fires
   /// whatever is due. Returns callbacks fired.
@@ -108,6 +114,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   // set/cancel/re-arm churn makes O(1) cancellation the hot requirement.
   TimerWheel wheel_;
   std::vector<TimerWheel::Entry> due_;  // reused by fire_due_timers
+  obs::Histogram late_us_;
   std::unordered_map<runtime::TimerId, std::function<void()>> timer_callbacks_;
 
   std::vector<std::pair<FlushHookId, std::function<void()>>> flush_hooks_;

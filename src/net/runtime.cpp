@@ -121,6 +121,7 @@ NetRuntime::NetRuntime(NodeConfig config)
 
 void NetRuntime::refresh_metrics() {
   transport_.export_metrics(metrics_, "transport");
+  metrics_.histogram("net.loop_late_us") = loop_.late_us();
   if (admin_ != nullptr) admin_->export_metrics(metrics_, "admin");
   if (wal_store_ != nullptr) {
     wal_store_->export_metrics(metrics_, "store");

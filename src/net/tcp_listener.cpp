@@ -1,6 +1,7 @@
 #include "net/tcp_listener.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +19,10 @@ TcpListener::TcpListener(EventLoop& loop, std::uint32_t ip, std::uint16_t port,
   EVS_CHECK_MSG(listen_fd_ >= 0, tag + ": socket() failed");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Replies leave at once: accept4() copies TCP_NODELAY to every accepted
+  // socket, so Nagle never holds a reply until the client's next segment
+  // carries an ACK.
+  ::setsockopt(listen_fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(ip);

@@ -4,11 +4,13 @@
 // the binary client service (svc/server.hpp) — need the same listen-side
 // skeleton: a non-blocking CLOEXEC listen socket bound to ip:port (port 0
 // picks an ephemeral port), registered with the single epoll EventLoop,
-// draining accept4() in a loop on every wake, and *shedding* connections
-// past a capacity check instead of queueing them (close immediately; the
-// client retries). This class is that skeleton, extracted so there is
-// exactly one conn-cap + shed implementation; the owners keep their own
-// counters and per-connection state via the callbacks.
+// draining accept4() in a loop on every wake, with Nagle disabled on every
+// accepted socket (set once on the listener; accept4 inherits it), and
+// *shedding* connections past a capacity check instead of queueing them
+// (close immediately; the client retries). This class is that skeleton,
+// extracted so there is exactly one conn-cap + shed implementation; the
+// owners keep their own counters and per-connection state via the
+// callbacks.
 #pragma once
 
 #include <cstdint>

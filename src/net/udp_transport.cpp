@@ -127,10 +127,13 @@ void UdpTransport::enqueue(GroupId group, SiteId site,
   }
   if (payload.size() > kMaxPayload) {
     ++stats_.dropped_oversize;
+    // The leading byte is the gms channel: 2 Membership (a flush ACK),
+    // 3 Data (an app Offer or Delta).
     EVS_WARN("udp: payload of " << payload.size()
                                 << " bytes exceeds the datagram bound"
-                                << " — dropped (dest " << to_string(site)
-                                << ")");
+                                << " — dropped (group " << group
+                                << ", channel " << int{payload.bytes()[0]}
+                                << ", dest " << to_string(site) << ")");
     return;
   }
   pending_.push_back(PendingFrame{site, dest_incarnation, group,

@@ -6,17 +6,22 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/log.hpp"
 #include "net/config.hpp"
 #include "net/datagram.hpp"
 #include "net/event_loop.hpp"
+#include "net/tcp_listener.hpp"
 #include "net/udp_transport.hpp"
 
 namespace evs::net {
@@ -411,6 +416,55 @@ TEST(EventLoop, StaleEventDoesNotDispatchToReusedFdNumber) {
   }
 }
 
+TEST(EventLoop, LateTimerIsRecorded) {
+  // A callback that blocks the loop for 5 ms delays a timer due 1 ms in;
+  // the loop's own lateness histogram must see that delay.
+  EventLoop loop;
+  loop.set_timer(0, []() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  });
+  bool fired = false;
+  loop.set_timer(1 * kMillisecond, [&]() { fired = true; });
+  loop.run_for(20 * kMillisecond);
+  ASSERT_TRUE(fired);
+  ASSERT_EQ(loop.late_us().count(), 2u);
+  EXPECT_GE(loop.late_us().max(), 4.0 * kMillisecond);
+}
+
+TEST(TcpListener, AcceptedSocketsDisableNagle) {
+  // Every accepted front-door socket sends replies at once: Nagle would
+  // hold a small reply until the client's next segment carries an ACK.
+  EventLoop loop;
+  int accepted = 0;
+  int nodelay = -1;
+  net::TcpListener listener(
+      loop, INADDR_LOOPBACK, 0,
+      net::TcpListener::Callbacks{
+          .on_connection =
+              [&](int fd) {
+                ++accepted;
+                socklen_t len = sizeof(nodelay);
+                EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                                       &len),
+                          0);
+                ::close(fd);
+              }},
+      "test");
+  const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(listener.bound_port());
+  ASSERT_EQ(
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  for (int i = 0; i < 100 && accepted == 0; ++i)
+    loop.run_for(10 * kMillisecond);
+  ::close(client);
+  ASSERT_EQ(accepted, 1);
+  EXPECT_EQ(nodelay, 1);
+}
+
 class UdpPair : public ::testing::Test {
  protected:
   UdpPair() {
@@ -570,6 +624,35 @@ TEST_F(UdpPair, DropRulesEmulatePartition) {
   a_->send(b_->self(), Bytes{3});
   EXPECT_EQ(a_->stats().datagrams_sent, sent_before);
   EXPECT_EQ(a_->stats().dropped_rule, 1u);
+}
+
+TEST_F(UdpPair, OversizePayloadIsDroppedAndCounted) {
+  // A frame above one datagram is dropped at enqueue, counted, and named
+  // in the warning by group and leading channel byte (3 = gms Data); the
+  // transport keeps sending what does fit.
+  std::vector<Bytes> got;
+  b_->set_deliver(GroupId{4},
+                  [&](ProcessId, const Bytes& p) { got.push_back(p); });
+  Bytes oversize(net::kMaxPayload + 1, 0);
+  oversize[0] = 3;
+  const log::Level saved = log::level();
+  log::set_level(log::Level::Warn);
+  ::testing::internal::CaptureStderr();
+  a_->send(GroupId{4}, b_->self(), std::move(oversize));
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  log::set_level(saved);
+  EXPECT_EQ(a_->stats().dropped_oversize, 1u);
+  EXPECT_EQ(a_->pending_frames(), 0u);
+  EXPECT_NE(warning.find("group 4"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("channel 3"), std::string::npos) << warning;
+  a_->flush();
+  EXPECT_EQ(a_->stats().datagrams_sent, 0u);
+
+  a_->send(GroupId{4}, b_->self(), Bytes{3, 1});
+  ASSERT_TRUE(await([&]() { return got.size() == 1; }));
+  EXPECT_EQ(got[0], (Bytes{3, 1}));
+  EXPECT_EQ(a_->stats().dropped_oversize, 1u);
+  EXPECT_EQ(a_->stats().datagrams_sent, 1u);
 }
 
 TEST_F(UdpPair, ExplicitFlushDrainsTheSendQueue) {
