@@ -46,19 +46,17 @@ runtime::TimerId EventLoop::set_timer(SimDuration delay,
                                       std::function<void()> fn) {
   EVS_CHECK(fn != nullptr);
   const runtime::TimerId id = next_timer_id_++;
-  wheel_.insert(now() + delay, next_timer_seq_++, id);
-  timer_callbacks_.emplace(id, std::move(fn));
+  const SimTime deadline = now() + delay;
+  timers_.emplace(std::pair{deadline, id}, std::move(fn));
+  deadlines_.emplace(id, deadline);
   return id;
 }
 
 void EventLoop::cancel_timer(runtime::TimerId id) {
-  if (timer_callbacks_.erase(id) == 0) return;  // already fired or cancelled
-  // O(1) direct erase via the wheel's id index — no lazy-cancellation
-  // residue, so set/cancel churn (the detector's heartbeat pattern) never
-  // leaves dead entries behind. erase can miss only if the entry was
-  // already collected into the current firing batch; fire_due_timers
-  // re-checks timer_callbacks_ before invoking, so the cancel still wins.
-  wheel_.erase(id);
+  const auto it = deadlines_.find(id);
+  if (it == deadlines_.end()) return;  // already fired or cancelled
+  timers_.erase({it->second, id});
+  deadlines_.erase(it);
 }
 
 EventLoop::FlushHookId EventLoop::add_flush_hook(std::function<void()> fn) {
@@ -139,23 +137,15 @@ void EventLoop::drain_posted() {
 std::size_t EventLoop::fire_due_timers() {
   std::size_t fired = 0;
   const SimTime t = now();
-  // Collect-and-fire until a pass finds nothing: a callback that sets a
-  // zero-delay timer still gets it fired in this batch (the heap had the
-  // same behavior via its re-checked while condition).
-  for (;;) {
-    due_.clear();
-    wheel_.collect_due(t, due_);
-    if (due_.empty()) break;
-    for (const TimerWheel::Entry& entry : due_) {
-      const auto it = timer_callbacks_.find(entry.id);
-      // Collected but cancelled by an earlier callback in this batch.
-      if (it == timer_callbacks_.end()) continue;
-      auto fn = std::move(it->second);
-      timer_callbacks_.erase(it);
-      late_us_.record(static_cast<double>(now() - entry.deadline));
-      fn();
-      ++fired;
-    }
+  // One entry at a time, earliest first, so a timer that an earlier
+  // callback in this batch cancelled is already gone from the map.
+  while (!timers_.empty() && timers_.begin()->first.first <= t) {
+    auto timer = timers_.extract(timers_.begin());
+    const auto [deadline, id] = timer.key();
+    deadlines_.erase(id);
+    late_us_.record(static_cast<double>(now() - deadline));
+    timer.mapped()();
+    ++fired;
   }
   return fired;
 }
@@ -165,22 +155,22 @@ std::size_t EventLoop::step(SimDuration max_wait) {
   // on the first step, anything queued before run()) goes to the wire
   // before the loop blocks.
   run_flush_hooks();
-  // Wait no longer than the nearest pending timer (the wheel's hint is a
-  // lower bound, so a coarse-bucketed far-future timer can wake us a bit
-  // early but never late), the caller's budget, or a 500 ms heartbeat
-  // that re-checks the stop flag even when nothing is scheduled.
+  // Wait no longer than the earliest timer, the caller's budget, or a
+  // 500 ms heartbeat that re-checks the stop flag even when nothing is
+  // scheduled. epoll_pwait2 takes the wait to the microsecond; epoll_wait
+  // would round it up to a whole millisecond and make every timer late.
   SimDuration wait = std::min<SimDuration>(max_wait, 500 * kMillisecond);
-  {
+  if (!timers_.empty()) {
+    const SimTime next = timers_.begin()->first.first;
     const SimTime t = now();
-    if (const auto hint = wheel_.next_deadline_hint(t)) {
-      wait = *hint <= t ? 0 : std::min<SimDuration>(wait, *hint - t);
-    }
+    wait = next <= t ? 0 : std::min<SimDuration>(wait, next - t);
   }
-  const int timeout_ms =
-      static_cast<int>((wait + kMillisecond - 1) / kMillisecond);
+  const timespec timeout{static_cast<time_t>(wait / kSecond),
+                         static_cast<long>(wait % kSecond) * 1000};
 
   epoll_event events[64];
-  const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  const int n = ::epoll_pwait2(epoll_fd_, events, 64, &timeout, nullptr);
+  EVS_CHECK_MSG(n >= 0 || errno == EINTR, "epoll_pwait2 failed");
   std::size_t fired = 0;
   if (n > 0) {
     // Snapshot each ready fd's registration generation before running any

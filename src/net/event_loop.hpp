@@ -17,13 +17,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/time.hpp"
-#include "net/timer_wheel.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/runtime.hpp"
 
@@ -66,7 +66,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// Async-signal-safe stop: may be called from a signal handler or any
-  /// other thread; wakes the loop if it is blocked in epoll_wait.
+  /// other thread; wakes the loop if it is blocked in epoll_pwait2.
   void request_stop();
 
   /// Enqueues `fn` to run on the loop thread; safe from any thread.
@@ -75,7 +75,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   using FlushHookId = std::uint64_t;
 
   /// Registers a hook that runs on the loop thread at the top of every
-  /// step (before the loop blocks in epoll_wait) and once more after the
+  /// step (before the loop blocks in epoll_pwait2) and once more after the
   /// final drain when run()/run_for() returns. Transports use this to
   /// flush their per-iteration send queues, so everything queued by the
   /// previous step's callbacks hits the wire before the loop sleeps.
@@ -83,11 +83,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   FlushHookId add_flush_hook(std::function<void()> fn);
   void remove_flush_hook(FlushHookId id);
 
-  std::size_t pending_timers() const { return timer_callbacks_.size(); }
-  /// Timer-wheel entries still queued. Cancellation erases its entry
-  /// directly (O(1) via the wheel's id index), so unlike the old lazy-
-  /// cancelling heap this always equals pending_timers().
-  std::size_t queued_timers() const { return wheel_.size(); }
+  std::size_t pending_timers() const { return timers_.size(); }
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
 
   /// How late each fired timer ran, in µs (fire time minus deadline): the
@@ -108,14 +104,14 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
   int wake_fd_ = -1;
   SimTime origin_ = 0;  // CLOCK_MONOTONIC µs at construction
 
-  std::uint64_t next_timer_seq_ = 0;
   runtime::TimerId next_timer_id_ = 1;
-  // Hierarchical wheel instead of a binary heap: the detector's per-peer
-  // set/cancel/re-arm churn makes O(1) cancellation the hot requirement.
-  TimerWheel wheel_;
-  std::vector<TimerWheel::Entry> due_;  // reused by fire_due_timers
+  // Pending timers in firing order. Ids rise in set order, so keying on
+  // (deadline, id) breaks deadline ties by insertion, as sim::Scheduler
+  // does; deadlines_ finds a timer's key for cancel_timer.
+  std::map<std::pair<SimTime, runtime::TimerId>, std::function<void()>>
+      timers_;
+  std::unordered_map<runtime::TimerId, SimTime> deadlines_;
   obs::Histogram late_us_;
-  std::unordered_map<runtime::TimerId, std::function<void()>> timer_callbacks_;
 
   std::vector<std::pair<FlushHookId, std::function<void()>>> flush_hooks_;
   FlushHookId next_flush_hook_id_ = 1;
@@ -124,7 +120,7 @@ class EventLoop final : public runtime::Clock, public runtime::TimerService {
     std::function<void()> on_readable;
     std::function<void()> on_writable;  // empty: no write interest
     /// Registration generation: stamped by add_fd, compared against a
-    /// snapshot taken right after epoll_wait so a stale event for a
+    /// snapshot taken right after epoll_pwait2 so a stale event for a
     /// closed fd can never dispatch to a new connection that reused the
     /// fd number within the same batch.
     std::uint64_t gen = 0;

@@ -200,7 +200,7 @@ void NetRuntime::unhost_group(GroupId id) {
   if (it == groups_.end()) return;
   transport_.clear_deliver(id);
   // detach() also cancels the node's outstanding timers out of the shared
-  // wheel — a destroyed node must leave nothing behind that captures it.
+  // timer queue, so a destroyed node leaves nothing behind that captures it.
   it->second.node->detach();
   groups_.erase(it);
 }

@@ -15,12 +15,12 @@
 //
 // A process hosting several group instances (config `group` lines) calls
 // host_group(id, node) once per instance: every node shares the one event
-// loop, timer wheel, socket and trace ring, but sees a per-group
+// loop, timer queue, socket and trace ring, but sees a per-group
 // Transport (frames stamped with its GroupId and demuxed back on
 // receive), a per-group trace facade (events labelled with its group) and
 // a per-group StableStore namespace. unhost_group() tears one instance
 // down without disturbing the rest: its deliver entry leaves the demux
-// table and detach() cancels its timers out of the shared wheel.
+// table and detach() cancels its timers out of the shared timer queue.
 //
 // EVS_TRACE_OUT works identically to sim runs: the trace bus records the
 // same typed events (stamped with loop-monotonic µs) and dump_trace()
@@ -119,7 +119,7 @@ class NetRuntime {
 
   /// Tears group `id` down without touching other groups: removes its
   /// deliver entry from the demux table, detaches the node (cancelling
-  /// its timers out of the shared wheel) and drops the per-group wiring.
+  /// its timers out of the shared timer queue) and drops the per-group wiring.
   /// The node object itself stays owned by the caller. No-op when the
   /// group is not hosted.
   void unhost_group(GroupId id);

@@ -118,7 +118,7 @@ void Node::send_multi(const std::vector<ProcessId>& recipients,
 TimerId Node::set_timer(SimDuration delay, std::function<void()> fn) {
   EVS_CHECK(fn != nullptr);
   // The wrapper captures `this`, so every registered timer must be gone
-  // from the shared wheel before the node is destroyed: detach() and the
+  // from the shared timer queue before the node is destroyed: detach() and the
   // destructor cancel everything in live_timers_. The id slot is filled
   // after registration — safe because the runtime is single-threaded, so
   // nothing can fire between set_timer() returning and the slot being set.

@@ -232,8 +232,8 @@ class Node {
   void bind(Env env, ProcessId id);
 
   /// Marks the incarnation dead: outstanding timers are cancelled out of
-  /// the runtime's wheel (they capture `this`; a multi-group host destroys
-  /// nodes while the shared wheel lives on), sends become no-ops.
+  /// the runtime's timer queue (they capture `this`; a multi-group host
+  /// destroys nodes while the shared queue lives on), sends become no-ops.
   void detach();
 
  protected:
@@ -258,7 +258,7 @@ class Node {
  private:
   /// Cancels every timer this node still has registered with the shared
   /// TimerService. Called by detach() and the destructor so a torn-down
-  /// group instance leaves nothing behind in the host's wheel.
+  /// group instance leaves nothing behind in the host's timer queue.
   void cancel_all_timers();
 
   Env env_;

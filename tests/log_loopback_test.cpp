@@ -1,6 +1,6 @@
 // End-to-end sharded-log test: three real evs_node processes, each
 // hosting FOUR log-shard group instances (G=4) over one socket/loop/
-// timer wheel, driven through the svc front door on 127.0.0.1.
+// timer queue, driven through the svc front door on 127.0.0.1.
 //
 //   usage: log_loopback_test <evs_node> <trace_check> <fleet_gen>
 //

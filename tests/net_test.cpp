@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -305,9 +306,44 @@ TEST(EventLoop, CancelledTimerNeverFires) {
   bool fired = false;
   const runtime::TimerId id =
       loop.set_timer(1 * kMillisecond, [&]() { fired = true; });
+  int kept_fired = 0;
+  const runtime::TimerId kept =
+      loop.set_timer(2 * kMillisecond, [&]() { ++kept_fired; });
   loop.cancel_timer(id);
+  // Cancel is exact and idempotent: a second cancel of the same id and a
+  // cancel of an id never handed out touch no other timer.
+  loop.cancel_timer(id);
+  loop.cancel_timer(kept + 1000);
+  EXPECT_EQ(loop.pending_timers(), 1u);
   loop.run_for(10 * kMillisecond);
   EXPECT_FALSE(fired);
+  EXPECT_EQ(kept_fired, 1);
+  // So is a cancel of an id that already fired.
+  bool later_fired = false;
+  loop.set_timer(1 * kMillisecond, [&]() { later_fired = true; });
+  loop.cancel_timer(kept);
+  EXPECT_EQ(loop.pending_timers(), 1u);
+  loop.run_for(10 * kMillisecond);
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(kept_fired, 1);
+}
+
+TEST(EventLoop, CallbackCancelsATimerDueInTheSameBatch) {
+  // Both timers are due when the loop first looks at its queue; the
+  // first one's callback cancels the second, which must never run.
+  EventLoop loop;
+  std::vector<int> fired;
+  runtime::TimerId second = 0;
+  loop.set_timer(1 * kMillisecond, [&]() {
+    fired.push_back(1);
+    loop.cancel_timer(second);
+  });
+  second = loop.set_timer(1 * kMillisecond, [&]() { fired.push_back(2); });
+  loop.set_timer(1 * kMillisecond, [&]() { fired.push_back(3); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  loop.run_for(10 * kMillisecond);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(loop.pending_timers(), 0u);
 }
 
 TEST(EventLoop, PostRunsOnLoopThread) {
@@ -331,10 +367,9 @@ TEST(EventLoop, RunForDrainsPostedWorkEvenAtAnExpiredDeadline) {
 }
 
 TEST(EventLoop, CancelledTimersDoNotGrowTheHeapWithoutBound) {
-  // The detector's heartbeat pattern: arm a timeout, cancel it, rearm —
-  // thousands of times between fires. Cancellation is lazy (the heap
-  // entry is skipped, not extracted), so without periodic compaction the
-  // heap would hold every entry ever cancelled.
+  // Set/cancel churn (svc's per-request timeouts: one armed and cancelled
+  // per request) must leave nothing behind: cancel erases the timer
+  // itself, so only the one live timer stays queued.
   EventLoop loop;
   const runtime::TimerId keep =
       loop.set_timer(3'600'000'000, []() { FAIL() << "must not fire"; });
@@ -343,22 +378,17 @@ TEST(EventLoop, CancelledTimersDoNotGrowTheHeapWithoutBound) {
     loop.cancel_timer(id);
   }
   EXPECT_EQ(loop.pending_timers(), 1u);
-  EXPECT_LE(loop.queued_timers(), 256u) << "cancelled entries never purged";
   loop.cancel_timer(keep);
+  EXPECT_EQ(loop.pending_timers(), 0u);
 }
 
 TEST(EventLoop, CancelledTimerLeavesNoQueuedEntryBehind) {
-  // The old binary heap left a cancelled entry behind (purged lazily); a
-  // cancelled near-term timer could clamp epoll waits to its dead
-  // deadline until the purge caught up. The timer wheel erases its entry
-  // directly, so a cancel can never be a wait bound — observable as
-  // queued_timers() dropping to zero immediately.
+  // A cancelled timer leaves the queue at once, so its deadline can never
+  // bound a later wait, and nothing of it is left after the loop runs.
   EventLoop loop;
   loop.cancel_timer(loop.set_timer(3'600'000'000, []() {}));
-  EXPECT_EQ(loop.queued_timers(), 0u);
   EXPECT_EQ(loop.pending_timers(), 0u);
   loop.run_for(kMillisecond);
-  EXPECT_EQ(loop.queued_timers(), 0u);
   EXPECT_EQ(loop.pending_timers(), 0u);
 }
 
@@ -429,6 +459,26 @@ TEST(EventLoop, LateTimerIsRecorded) {
   ASSERT_TRUE(fired);
   ASSERT_EQ(loop.late_us().count(), 2u);
   EXPECT_GE(loop.late_us().max(), 4.0 * kMillisecond);
+}
+
+TEST(EventLoop, SubMillisecondTimerIsNotRoundedUp) {
+  // On an idle loop a 200 µs timer should fire within tens of µs of its
+  // deadline. A wait rounded up to whole milliseconds would make each of
+  // them ~800 µs late.
+  EventLoop loop;
+  int left = 20;
+  std::function<void()> rearm = [&]() {
+    if (--left == 0) {
+      loop.stop();
+      return;
+    }
+    loop.set_timer(200 * kMicrosecond, rearm);
+  };
+  loop.set_timer(200 * kMicrosecond, rearm);
+  loop.run_for(1 * kSecond);
+  ASSERT_EQ(left, 0);
+  ASSERT_EQ(loop.late_us().count(), 20u);
+  EXPECT_LT(loop.late_us().quantile(0.5), 500.0);
 }
 
 TEST(TcpListener, AcceptedSocketsDisableNagle) {

@@ -4,11 +4,22 @@
 // trace where one message is delivered in two views).
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/log.hpp"
 #include "obs/check.hpp"
+#include "obs/dump.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -178,6 +189,50 @@ TEST(TraceBus, ObserverTapSeesEveryRecordedEvent) {
   g.record({3, proc(0), EventKind::MessageSent});
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1].group, GroupId{3});
+}
+
+TEST(DumpRun, KillMidDumpLeavesTheLastCompleteTrace) {
+  // A node's periodic --trace-flush-ms dumps exist so that its trace
+  // survives kill -9. A kill that lands while a dump is being written must
+  // leave the last complete dump, never a truncated file. The child dumps
+  // the same trace over and over; each round kills it at another point.
+  char dir[] = "/tmp/evs_dump_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  ASSERT_EQ(::setenv("EVS_TRACE_OUT", dir, 1), 0);
+  constexpr std::uint64_t kEvents = 20000;
+  TraceBus bus(kEvents);
+  bus.set_enabled(true);
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    bus.record({i, proc(0), EventKind::MessageSent, view(1, 0), proc(0), i});
+  }
+  const MetricsRegistry metrics;
+  for (int round = 0; round < 10; ++round) {
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      evs::log::set_level(evs::log::Level::Warn);
+      dump_run(bus, metrics, "run");
+      const char one = 1;
+      [[maybe_unused]] const auto n = ::write(ready[1], &one, 1);
+      for (;;) dump_run(bus, metrics, "run");
+    }
+    ::close(ready[1]);
+    char byte = 0;
+    const auto got = ::read(ready[0], &byte, 1);
+    ::close(ready[0]);
+    std::this_thread::sleep_for(std::chrono::microseconds(500 * round));
+    ::kill(child, SIGKILL);
+    ::waitpid(child, nullptr, 0);
+    ASSERT_EQ(got, 1) << "the child never finished its first dump";
+    std::ifstream is(std::string(dir) + "/run.trace.jsonl");
+    std::size_t skipped = 0;
+    EXPECT_EQ(read_jsonl(is, &skipped).size(), kEvents) << "round " << round;
+    EXPECT_EQ(skipped, 0u) << "round " << round;
+  }
+  ::unsetenv("EVS_TRACE_OUT");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Metrics, HistogramExactQuantiles) {

@@ -1,7 +1,7 @@
 // Multi-group hosting tests: one NetRuntime (one event loop, one socket,
-// one timer wheel, one store) hosting several group instances — per-group
+// one timer queue, one store) hosting several group instances — per-group
 // demux in and out, per-group store namespacing, per-group teardown that
-// leaves nothing behind in the shared wheel (the failing-before timer
+// leaves nothing behind in the shared timer queue (the failing-before timer
 // lifecycle bug), and halt semantics (the loop stops only when the last
 // alive group halts).
 #include <gtest/gtest.h>
@@ -156,7 +156,7 @@ TEST_F(MultiGroupHost, UnhostTearsDownOneGroupWithoutDisturbingOthers) {
   EXPECT_FALSE(g1.alive());
   EXPECT_TRUE(g2.alive());
   EXPECT_EQ(rt_->hosted_groups(), (std::vector<GroupId>{2}));
-  // The torn-down group's timer left the shared wheel with it.
+  // The torn-down group's timer left the shared timer queue with it.
   EXPECT_EQ(rt_->loop().pending_timers(), 0u);
   rt_->loop().run_for(20 * kMillisecond);
   EXPECT_EQ(g1.fired, 0);
@@ -172,7 +172,7 @@ TEST_F(MultiGroupHost, UnhostTearsDownOneGroupWithoutDisturbingOthers) {
 
 TEST_F(MultiGroupHost, DestroyedNodeLeavesNoTimerBehindInTheSharedWheel) {
   // Failing-before bug: a group instance destroyed mid-run left its timer
-  // callbacks (capturing `this`) armed in the host's shared wheel — a
+  // callbacks (capturing `this`) armed in the host's shared timer queue — a
   // use-after-free when they fired. detach()/~Node must cancel them.
   int fired = 0;
   auto node = std::make_unique<CountingNode>();
@@ -181,7 +181,7 @@ TEST_F(MultiGroupHost, DestroyedNodeLeavesNoTimerBehindInTheSharedWheel) {
   node->set_timer(8 * kMillisecond, [&fired]() { ++fired; });
   EXPECT_EQ(rt_->loop().pending_timers(), 2u);
   rt_->unhost_group(GroupId{3});
-  node.reset();  // the wheel outlives the node
+  node.reset();  // the timer queue outlives the node
   EXPECT_EQ(rt_->loop().pending_timers(), 0u);
   rt_->loop().run_for(20 * kMillisecond);
   EXPECT_EQ(fired, 0);

@@ -19,7 +19,7 @@
 // object.
 //
 // A config with `group <id> <object>` lines hosts one group instance per
-// line over the same socket/loop/timer wheel (NetRuntime::host_group) —
+// line over the same socket/loop/timer queue (NetRuntime::host_group) —
 // the multi-group runtime. Log-object groups form the shards of the
 // sharded shared log (src/log/): shard index = rank of the group id among
 // the log groups, G = their count. The front door then routes through a
