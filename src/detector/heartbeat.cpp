@@ -40,18 +40,32 @@ void HeartbeatDetector::tick() {
 void HeartbeatDetector::on_heartbeat(ProcessId from) {
   if (left_.contains(from)) return;
   ++stats_.heartbeats_received;
-  // A heartbeat from a newer incarnation at the same site supersedes the
-  // older one: the old incarnation is dead by definition.
+  mark_heard(from);
+}
+
+void HeartbeatDetector::presume_alive(ProcessId id) {
+  if (id == self_ || left_.contains(id)) return;
+  // A view may still name an incarnation whose successor we already hear.
+  for (const auto& entry : last_seen_) {
+    if (entry.first.site == id.site && entry.first.incarnation > id.incarnation)
+      return;
+  }
+  mark_heard(id);
+}
+
+void HeartbeatDetector::mark_heard(ProcessId id) {
+  // A newer incarnation at the same site supersedes the older one: the
+  // old incarnation is dead by definition.
   for (auto it = last_seen_.begin(); it != last_seen_.end();) {
-    if (it->first.site == from.site && it->first.incarnation < from.incarnation) {
+    if (it->first.site == id.site && it->first.incarnation < id.incarnation) {
       reachable_since_.erase(it->first);
       it = last_seen_.erase(it);
     } else {
       ++it;
     }
   }
-  if (!is_reachable(from)) reachable_since_[from] = host_.now();
-  last_seen_[from] = host_.now();
+  if (!is_reachable(id)) reachable_since_[id] = host_.now();
+  last_seen_[id] = host_.now();
 }
 
 SimTime HeartbeatDetector::reachable_since(ProcessId id) const {
@@ -81,6 +95,14 @@ bool HeartbeatDetector::is_reachable(ProcessId id) const {
   const auto it = last_seen_.find(id);
   if (it == last_seen_.end()) return false;
   return host_.now() - it->second <= config_.suspect_timeout;
+}
+
+bool HeartbeatDetector::hears_every_site() const {
+  const std::vector<ProcessId> current = reachable();
+  return std::all_of(universe_.begin(), universe_.end(), [&](SiteId site) {
+    return std::any_of(current.begin(), current.end(),
+                       [site](ProcessId id) { return id.site == site; });
+  });
 }
 
 void HeartbeatDetector::evaluate() {

@@ -54,7 +54,7 @@ struct DetectorHost {
 class HeartbeatDetector {
  public:
   /// `on_change` fires whenever the reachable set (sorted, always
-  /// containing self) changes between ticks.
+  /// containing self) changes between evaluations (see evaluate()).
   using ChangeCallback = std::function<void(const std::vector<ProcessId>&)>;
 
   HeartbeatDetector(ProcessId self, std::vector<SiteId> universe,
@@ -67,6 +67,12 @@ class HeartbeatDetector {
   /// Host feeds every received heartbeat here.
   void on_heartbeat(ProcessId from);
 
+  /// Counts `id` as heard now without a heartbeat from it, so it stays
+  /// reachable for one suspect timeout. The host calls this for the
+  /// members of a view it installs: each of them acked that view's round,
+  /// so it was alive moments ago even if its heartbeats have not arrived.
+  void presume_alive(ProcessId id);
+
   /// Records a voluntary leave: the process is treated as permanently
   /// unreachable immediately, without waiting for a timeout.
   void mark_left(ProcessId id);
@@ -76,8 +82,17 @@ class HeartbeatDetector {
 
   bool is_reachable(ProcessId id) const;
 
-  /// When `id` last became reachable (its first heartbeat after being
-  /// unheard or suspected); 0 when it never was.
+  /// True when every site of the universe has a reachable process.
+  bool hears_every_site() const;
+
+  /// Compares the reachable set with the last one reported and fires
+  /// `on_change` if they differ. The tick calls it every heartbeat
+  /// interval; a host that learns of a change between ticks may call it
+  /// at once.
+  void evaluate();
+
+  /// When `id` last became reachable (its first heartbeat, or
+  /// presume_alive, after being unheard or suspected); 0 when it never was.
   SimTime reachable_since(ProcessId id) const;
 
   const DetectorStats& stats() const { return stats_; }
@@ -89,7 +104,9 @@ class HeartbeatDetector {
 
  private:
   void tick();
-  void evaluate();
+  /// Records `id` as heard now; a newer incarnation at its site
+  /// supersedes (forgets) every older one.
+  void mark_heard(ProcessId id);
 
   ProcessId self_;
   std::vector<SiteId> universe_;

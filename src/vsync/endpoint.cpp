@@ -139,7 +139,16 @@ void Endpoint::on_message(ProcessId from, const Bytes& payload) {
 }
 
 void Endpoint::handle_heartbeat(ProcessId from, Decoder& dec) {
+  const bool unheard = !detector_->is_reachable(from);
   detector_->on_heartbeat(from);
+  // A peer we did not hear is back (it restarted, or a partition healed).
+  // Once it completes the picture — every site of the universe heard —
+  // act on it now rather than at the next tick. While some site is still
+  // unheard the tick decides, so a heal still forms one view, not one per
+  // peer heard.
+  if (unheard && detector_->is_reachable(from) &&
+      detector_->hears_every_site())
+    detector_->evaluate();
   if (dec.remaining() == 0) return;  // bare heartbeat: no view to compare
   const std::uint64_t peer_epoch = dec.get_varint();
   // A member of our view already installed a later one: our view was
@@ -259,8 +268,11 @@ bool Endpoint::excludes_heard_member(
   // whatever it delivered and acknowledged since — so wait out one
   // suspect timeout for the proposer to learn of it and for the merged
   // round to come. Past that, the exclusion stands (a one-way failure).
-  if (now() - detector_->reachable_since(proposer) >=
-      config_.detector.suspect_timeout)
+  // A proposer we do not hear at all has not been heard since it came
+  // back, so its reachable_since is stale and counts as just heard.
+  if (detector_->is_reachable(proposer) &&
+      now() - detector_->reachable_since(proposer) >=
+          config_.detector.suspect_timeout)
     return false;
   for (const ProcessId member : view_.members) {
     if (member != id() && detector_->is_reachable(member) &&
@@ -375,6 +387,10 @@ void Endpoint::handle_install(const gms::Install& msg) {
 
   view_ = msg.view;
   superseded_ = false;
+  // Every member acked this round, so each was alive moments ago: count
+  // it heard for one suspect timeout, or a member that restarted and has
+  // not yet heard the others would vote them, and so itself, out again.
+  for (const ProcessId member : view_.members) detector_->presume_alive(member);
   max_number_seen_ = std::max(max_number_seen_, view_.id.epoch);
   buffer_.clear();
   streams_.clear();
@@ -409,6 +425,9 @@ void Endpoint::handle_install(const gms::Install& msg) {
   }
   std::erase_if(future_stash_,
                 [this](const auto& entry) { return entry.first <= view_.id; });
+
+  // A peer heard during the round is admitted now, not at the next check.
+  maybe_coordinate();
 }
 
 void Endpoint::handle_data(ProcessId from, Decoder& dec) {
@@ -487,15 +506,15 @@ bool Endpoint::already_delivered(ProcessId sender, std::uint64_t seq) const {
 }
 
 void Endpoint::on_reachability_change() {
-  if (coordinating_) {
-    // If a proposed member vanished, this round can never complete.
-    for (const ProcessId member : coordinating_->proposed) {
-      if (!detector_->is_reachable(member)) {
-        coordinating_.reset();
-        break;
-      }
-    }
-  }
+  // A round whose membership is no longer the one the detector asks for
+  // either never completes (a proposed member vanished) or is followed at
+  // once by another view (a peer it leaves out is heard now, and the
+  // member that ignored the round for dropping that peer never acks).
+  // Abandon it and coordinate afresh.
+  if (coordinating_ &&
+      coordinating_->proposed !=
+          gms::admit(config_.policy, view_.members, detector_->reachable()))
+    coordinating_.reset();
   maybe_coordinate();
 }
 
@@ -507,9 +526,11 @@ void Endpoint::maybe_coordinate() {
   if (desired.empty()) return;
 
   const bool needs_change = desired != view_.members || superseded_;
+  // Frozen in a round nobody runs any more: one of our own we abandoned
+  // (we are not coordinating here), or one blocked for too long.
   const bool stale_block =
-      blocked() &&
-      now() - blocked_since_ > config_.stale_block_timeout;
+      blocked() && (acked_round_->coordinator == id() ||
+                    now() - blocked_since_ > config_.stale_block_timeout);
   if (blocked() && !stale_block) return;  // let the running round finish
   if (!needs_change && !stale_block) return;
   if (desired.front() != id()) return;  // not our job

@@ -15,7 +15,9 @@
 //     view — or a heartbeat from a member of the view names a later view,
 //     so the view was split without this process — and this process is
 //     the minimum of the desired membership, it starts a round:
-//     PROPOSE(round, members).
+//     PROPOSE(round, members). The detector re-evaluates on its tick, or
+//     at once when a heartbeat from a peer it did not hear leaves every
+//     site of the universe heard.
 //   * Members freeze (stop sending and delivering), then ACK with their
 //     prior view id, their buffered ("unstable") messages of that view,
 //     and an opaque flush context supplied by the upper layer (the

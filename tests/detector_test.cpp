@@ -167,5 +167,73 @@ TEST(Detector, ChangeCallbackFiresOnMembershipEvents) {
   EXPECT_GT(f.actors[0]->changes(), changes_before);
 }
 
+// The host may evaluate between ticks: a peer heard since the last tick is
+// reported at once, and a second call with nothing new reports nothing.
+TEST(Detector, EvaluateReportsAHeardPeerBeforeTheNextTick) {
+  DetectorConfig cfg;
+  cfg.heartbeat_interval = 1 * kSecond;
+  cfg.suspect_timeout = 5 * kSecond;
+  DetectorFixture f(2, /*seed=*/1, {}, cfg);
+  f.world.run_for(10 * kMillisecond);
+  auto* actor = f.actors[0];
+  ASSERT_TRUE(actor->detector().is_reachable(f.actors[1]->id()));
+  EXPECT_EQ(actor->changes(), 0);  // the next tick is a second away
+  actor->detector().evaluate();
+  EXPECT_EQ(actor->changes(), 1);
+  EXPECT_EQ(actor->last().size(), 2u);
+  actor->detector().evaluate();
+  EXPECT_EQ(actor->changes(), 1);
+}
+
+TEST(Detector, HearsEverySiteOnlyOnceEachSiteIsReachable) {
+  DetectorFixture f(3);
+  f.world.network().set_partition({{f.sites[0], f.sites[1]}, {f.sites[2]}});
+  f.world.run_for(100 * kMillisecond);
+  EXPECT_FALSE(f.actors[0]->detector().hears_every_site());
+  f.world.network().heal();
+  f.world.run_for(100 * kMillisecond);
+  EXPECT_TRUE(f.actors[0]->detector().hears_every_site());
+}
+
+TEST(Detector, PresumeAliveLastsOneSuspectTimeout) {
+  DetectorFixture f(3);
+  // No heartbeat ever crosses between the sites.
+  f.world.network().set_partition(
+      {{f.sites[0]}, {f.sites[1]}, {f.sites[2]}});
+  f.world.run_for(50 * kMillisecond);
+  HeartbeatDetector& det = f.actors[0]->detector();
+  const ProcessId peer = f.actors[1]->id();
+  ASSERT_FALSE(det.is_reachable(peer));
+  const SimTime presumed_at = f.world.scheduler().now();
+  det.presume_alive(peer);
+  EXPECT_TRUE(det.is_reachable(peer));
+  EXPECT_EQ(det.reachable_since(peer), presumed_at);
+  EXPECT_EQ(det.reachable().size(), 2u);
+  // Presumed, not heard: no heartbeat was counted.
+  EXPECT_EQ(det.stats().heartbeats_received, 0u);
+  f.world.run_for(det.config().suspect_timeout + det.config().heartbeat_interval);
+  EXPECT_FALSE(det.is_reachable(peer));
+  EXPECT_EQ(det.reachable().size(), 1u);
+}
+
+TEST(Detector, PresumeAliveNeverRevivesALeftOrSupersededProcess) {
+  DetectorFixture f(3);
+  f.world.run_for(500 * kMillisecond);
+  HeartbeatDetector& det = f.actors[0]->detector();
+  const ProcessId left = f.actors[1]->id();
+  det.mark_left(left);
+  det.presume_alive(left);
+  EXPECT_FALSE(det.is_reachable(left));
+  // A view can still name an incarnation whose successor is heard.
+  const ProcessId current = f.actors[2]->id();
+  ASSERT_GT(current.incarnation, 0u);
+  const ProcessId older{current.site, current.incarnation - 1};
+  det.presume_alive(older);
+  EXPECT_FALSE(det.is_reachable(older));
+  EXPECT_EQ(det.reachable().size(), 2u);
+  det.presume_alive(det.reachable().front());  // self: a no-op
+  EXPECT_EQ(det.reachable().size(), 2u);
+}
+
 }  // namespace
 }  // namespace evs::detector

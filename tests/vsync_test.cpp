@@ -108,6 +108,153 @@ TEST(Vsync, OneWayBlockSplitReMergesAfterUnblock) {
   EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
 }
 
+// Advances the cluster to `past` after the next heartbeat tick of the
+// endpoints spawned at time 0. Just past a tick is the worst phase for a
+// restart if the coordinator only noticed it on its tick.
+void run_past_next_tick(Cluster& c, SimDuration past = kMillisecond) {
+  const SimDuration beat = c.ep(0).config().detector.heartbeat_interval;
+  const SimTime now = c.world().scheduler().now();
+  c.world().run_for(beat - now % beat + past);
+}
+
+// A member restarted after its suspicion heartbeats every site at start.
+// That heartbeat completes the coordinator's picture (every site heard),
+// so the coordinator proposes at once rather than at its next tick, and
+// the full view installs within a few network delays.
+TEST(Vsync, RestartedMemberRejoinsWellInsideOneHeartbeatInterval) {
+  Cluster c({.sites = 3});
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  c.world().crash_site(c.site(2));
+  ASSERT_TRUE(c.await_stable_view({0, 1}));
+  run_past_next_tick(c);
+  const SimTime restart = c.world().scheduler().now();
+  c.world().respawn(c.site(2));
+  ASSERT_TRUE(c.await([&] { return c.stable_view_among({0, 1, 2}); },
+                      kSecond, 100 * kMicrosecond));
+  const SimDuration beat = c.ep(0).config().detector.heartbeat_interval;
+  EXPECT_LT(c.world().scheduler().now() - restart, beat / 2);
+  EXPECT_EQ(c.rec(2).views().size(), 2u);  // its singleton, then the full view
+}
+
+// A 2|2 partition heals. p3 restarted 7 ms off the others' heartbeat
+// phase, so the coordinator p0 hears p3 and p2 at different times and a
+// tick can fall between them. p0 acts on its own once it hears every site;
+// a round it proposed from the tick without p2 is ignored by p3 (it drops
+// p2, whom p3 hears, and p0 counts as just heard), and p0 abandons that
+// round as soon as it hears p2. So every process installs exactly one view
+// for the heal, within a suspect timeout.
+TEST(Vsync, TwoTwoHealInstallsOneViewPerProcess) {
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    for (const SimDuration offset :
+         {SimDuration{0}, 8 * kMillisecond, 16 * kMillisecond}) {
+      Cluster c({.sites = 4, .seed = seed});
+      ASSERT_TRUE(c.await_stable_view({0, 1, 2, 3}));
+      c.world().run_for(7 * kMillisecond);
+      c.world().crash_site(c.site(3));
+      c.world().respawn(c.site(3));
+      ASSERT_TRUE(c.await_stable_view({0, 1, 2, 3}));
+      c.world().network().set_partition(
+          {{c.site(0), c.site(1)}, {c.site(2), c.site(3)}});
+      ASSERT_TRUE(c.await_stable_view({0, 1}));
+      ASSERT_TRUE(c.await_stable_view({2, 3}));
+      c.world().run_for(kSecond);
+      std::vector<std::size_t> before;
+      for (std::size_t i = 0; i < 4; ++i)
+        before.push_back(c.rec(i).views().size());
+      run_past_next_tick(c);
+      c.world().run_for(offset);
+      c.world().network().heal();
+      const SimTime healed = c.world().scheduler().now();
+      ASSERT_TRUE(c.await([&] { return c.stable_view_among({0, 1, 2, 3}); },
+                          10 * kSecond, 100 * kMicrosecond));
+      EXPECT_LT(c.world().scheduler().now() - healed,
+                c.ep(0).config().detector.suspect_timeout)
+          << "seed " << seed << ", heal offset " << offset;
+      c.world().run_for(kSecond);
+      for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(c.rec(i).views().size(), before[i] + 1)
+            << "seed " << seed << ", heal offset " << offset << ", p" << i;
+      }
+      EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+    }
+  }
+}
+
+// One-at-a-time admission takes one round per newcomer. The next round
+// starts at the install of the previous one, for a newcomer heard during
+// it, so two newcomers are both in well inside one heartbeat interval
+// rather than one tick apart.
+TEST(Vsync, NewcomerHeardDuringARoundIsAdmittedAtTheInstall) {
+  ClusterOptions opt{.sites = 4, .spawn_all = false};
+  opt.endpoint.policy = gms::JoinPolicy::OneAtATime;
+  Cluster c(opt);
+  c.spawn_at(c.site(0));
+  c.spawn_at(c.site(1));
+  ASSERT_TRUE(c.await_stable_view({0, 1}));
+  run_past_next_tick(c);
+  const SimTime start = c.world().scheduler().now();
+  c.spawn_at(c.site(2));
+  c.spawn_at(c.site(3));
+  ASSERT_TRUE(c.await([&] { return c.stable_view_among({0, 1, 2, 3}); },
+                      kSecond, 100 * kMicrosecond));
+  const SimDuration beat = c.ep(0).config().detector.heartbeat_interval;
+  EXPECT_LT(c.world().scheduler().now() - start, beat / 2);
+  EXPECT_EQ(c.rec(0).views().size(), 4u);  // singleton, {0,1}, +1, +1
+}
+
+// p2 restarts 5 ms past the survivors' tick, when their last heartbeats
+// have come and gone, and p1's frames to it are dropped. p0 admits p2 as
+// soon as it hears it, so p2 installs the full view having heard no
+// heartbeat at all (only p0's Propose and Install), and then hears only
+// p0. Each member acked that round, so p2 presumes them alive for a
+// suspect timeout instead of voting them, and so itself, out again.
+TEST(Vsync, RejoinerHearingOnlyTheCoordinatorStaysInTheFullView) {
+  Cluster c({.sites = 3});
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  c.world().crash_site(c.site(2));
+  ASSERT_TRUE(c.await_stable_view({0, 1}));
+  auto& net = c.world().network();
+  net.block_link(c.site(1), c.site(2));
+  run_past_next_tick(c, 5 * kMillisecond);
+  const SimTime restart = c.world().scheduler().now();
+  c.world().respawn(c.site(2));
+  ASSERT_TRUE(c.await([&] { return c.stable_view_among({0, 1, 2}); },
+                      kSecond, 100 * kMicrosecond));
+  const SimDuration beat = c.ep(0).config().detector.heartbeat_interval;
+  EXPECT_LT(c.world().scheduler().now() - restart, beat / 2);
+  const ViewId full = c.ep(2).view().id;
+  c.world().run_for(c.ep(2).config().detector.suspect_timeout / 2);
+  net.unblock_link(c.site(1), c.site(2));
+  c.world().run_for(kSecond);
+  EXPECT_EQ(c.ep(2).view().id, full);
+  EXPECT_EQ(c.rec(2).views().size(), 2u);
+  EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+}
+
+// A proposal that drops a member we still hear is ignored while its
+// proposer counts as just heard. A proposer we do not hear at all has not
+// been heard since it came back: its reachable_since is from before the
+// partition, stale, and must not make the exclusion stand.
+TEST(Vsync, UnheardProposerCannotDropAMemberWeHear) {
+  Cluster c({.sites = 3});
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  c.world().network().set_partition({{c.site(0), c.site(2)}, {c.site(1)}});
+  ASSERT_TRUE(c.await_stable_view({0, 2}));
+  const ProcessId p1 = c.world().live_process(c.site(1));
+  const ProcessId p2 = c.world().live_process(c.site(2));
+  gms::Propose propose;
+  propose.round = gms::RoundId{c.ep(2).view().id.epoch + 10, p1};
+  propose.members = {p1, p2};
+  Encoder body;
+  body.put_u8(static_cast<std::uint8_t>(gms::MembershipKind::Propose));
+  propose.encode(body);
+  c.ep(2).on_message(p1, gms::frame(gms::Channel::Membership, std::move(body)));
+  EXPECT_FALSE(c.ep(2).blocked()) << "p2 acked a view without p0";
+  c.world().network().heal();
+  ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
+  EXPECT_TRUE(check_vs_properties(recorder_ptrs(c.all_recorders())));
+}
+
 TEST(Vsync, IsolatedMinoritySideFormsSingleton) {
   Cluster c({.sites = 3});
   ASSERT_TRUE(c.await_stable_view({0, 1, 2}));
