@@ -732,14 +732,15 @@ void GroupObjectBase::recover_op_log() {
     return;
   }
   op_log_.resume(*log);
-  for (const LoggedOp& op : log->ops) {
+  for (std::size_t i = 0; i < log->ops.size(); ++i) {
+    LoggedOp& op = log->ops[i];
     try {
       on_object_deliver(op.sender, op.body);
     } catch (const DecodeError&) {
       ++object_stats_.snapshot_decode_errors;
       break;
     }
-    op_log_.append(op, /*persist=*/false);
+    op_log_.append_recovered(std::move(op), log->hashes[i]);
     ++object_stats_.recovered_ops;
   }
 }

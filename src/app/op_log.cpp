@@ -74,10 +74,10 @@ std::string OpLog::op_key(std::uint64_t index) {
   return std::string(kOpPrefix) + digits;
 }
 
-void OpLog::append(const LoggedOp& op, bool persist) {
+void OpLog::append(const LoggedOp& op) {
   ++index_;
   hash_ = roll_op_hash(hash_, op);
-  if (store_ != nullptr && persist) {
+  if (store_ != nullptr) {
     Encoder enc;
     enc.reserve(op.body.size() + 24);
     enc.put_u64(hash_);
@@ -91,13 +91,23 @@ void OpLog::append(const LoggedOp& op, bool persist) {
     ++stats_.ops_logged;
     stats_.op_bytes_logged += bytes;
   }
+  keep(op);
+}
+
+void OpLog::append_recovered(LoggedOp op, std::uint64_t hash_after) {
+  ++index_;
+  hash_ = hash_after;
+  keep(std::move(op));
+}
+
+void OpLog::keep(LoggedOp op) {
   if (config_.ring_bytes == 0) {
     ring_base_index_ = index_;  // no ring: only the position itself
     ring_base_hash_ = hash_;
     return;
   }
-  ring_.push_back(RingEntry{op, hash_});
   ring_bytes_ += op.body.size();
+  ring_.push_back(RingEntry{std::move(op), hash_});
   while (ring_bytes_ > config_.ring_bytes && !ring_.empty()) {
     ring_bytes_ -= ring_.front().op.body.size();
     ring_base_hash_ = ring_.front().hash_after;
@@ -199,6 +209,7 @@ std::optional<RecoveredLog> OpLog::load(const runtime::StableStore& store) {
     hash = roll_op_hash(hash, op);
     if (hash != recorded) break;  // not this snapshot's history
     log.ops.push_back(std::move(op));
+    log.hashes.push_back(hash);
     log.op_bytes += key.size() + bytes->size();
   }
   return log;

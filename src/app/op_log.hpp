@@ -82,6 +82,8 @@ struct RecoveredLog {
   std::uint64_t index = 0;
   std::uint64_t hash = 0;
   std::vector<LoggedOp> ops;
+  /// hashes[i] is the history hash after ops[i].
+  std::vector<std::uint64_t> hashes;
   /// Encoded sizes found on disk (the snapshot record, the op records).
   std::size_t snapshot_bytes = 0;
   std::size_t op_bytes = 0;
@@ -101,9 +103,13 @@ class OpLog {
   std::uint64_t hash() const { return hash_; }
 
   /// An op was applied: advances (index, hash), keeps the op in the ring
-  /// and, with a store attached and `persist`, writes its record (boot
-  /// replay passes false: the record is already there).
-  void append(const LoggedOp& op, bool persist = true);
+  /// and, with a store attached, writes its record.
+  void append(const LoggedOp& op);
+
+  /// Boot replay of an op that load() read back: takes the hash load()
+  /// already rolled and checked, and keeps the op in the ring without
+  /// writing its record again.
+  void append_recovered(LoggedOp op, std::uint64_t hash_after);
 
   /// The state was replaced by one cut at (index, hash): moves the
   /// position there and forgets the ring, whose ops belong to the old
@@ -112,7 +118,7 @@ class OpLog {
 
   /// Boot: takes the position of `log`'s snapshot and its on-disk sizes,
   /// so the snapshot threshold covers the records already there. The
-  /// caller then replays log.ops through append(op, false).
+  /// caller then replays log.ops through append_recovered().
   void resume(const RecoveredLog& log);
 
   /// Whether the op records since the last snapshot outgrew it.
@@ -141,6 +147,9 @@ class OpLog {
   const OpLogStats& stats() const { return stats_; }
 
  private:
+  /// Keeps `op`, just applied at the current position, in the ring.
+  void keep(LoggedOp op);
+
   struct RingEntry {
     LoggedOp op;
     std::uint64_t hash_after = 0;

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -10,34 +11,75 @@ namespace evs::obs {
 
 namespace {
 
-// splitmix64: tiny, deterministic, good enough to pick reservoir victims.
-std::uint64_t next_random(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+// Positive doubles order like their bit patterns, so rounding the pattern
+// to the top kMantissaBits of mantissa gives a monotone bucket key (the
+// exponent above those bits) whose own value is the bucket's
+// representative.
+constexpr int kDropBits = 52 - Histogram::kMantissaBits;
+constexpr std::uint32_t kOctave = 1u << Histogram::kMantissaBits;
+// Keeps a stray sample from stretching the bucket array over thousands
+// of powers of two.
+constexpr double kLowest = 0x1p-24;
+constexpr double kHighest = 0x1p40;
+
+std::uint32_t key_of(double sample) {
+  const auto bits =
+      std::bit_cast<std::uint64_t>(std::clamp(sample, kLowest, kHighest));
+  return static_cast<std::uint32_t>(
+      (bits + (std::uint64_t{1} << (kDropBits - 1))) >> kDropBits);
+}
+
+double value_of(std::uint32_t key) {
+  return std::bit_cast<double>(std::uint64_t{key} << kDropBits);
 }
 
 }  // namespace
-
-Histogram::Histogram(std::size_t sample_cap)
-    : sample_cap_(sample_cap), rng_state_(0x853c49e6748fea9bULL) {
-  EVS_CHECK(sample_cap_ > 0);
-}
 
 void Histogram::record(double sample) {
   if (count_ == 0 || sample < min_) min_ = sample;
   if (count_ == 0 || sample > max_) max_ = sample;
   ++count_;
   sum_ += sample;
-  if (samples_.size() < sample_cap_) {
-    samples_.push_back(sample);
+  if (!(sample > 0)) {
+    ++zeros_;
     return;
   }
-  // Algorithm R: keep each of the count_ samples with probability cap/count.
-  const std::uint64_t slot = next_random(rng_state_) % count_;
-  if (slot < sample_cap_) samples_[static_cast<std::size_t>(slot)] = sample;
+  const std::uint32_t key = key_of(sample);
+  cover(key, key + 1);
+  ++counts_[key - lo_key_];
+}
+
+void Histogram::cover(std::uint32_t lo, std::uint32_t hi) {
+  const auto end = static_cast<std::uint32_t>(lo_key_ + counts_.size());
+  if (!counts_.empty()) {
+    if (lo >= lo_key_ && hi <= end) return;
+    lo = std::min(lo, lo_key_);
+    hi = std::max(hi, end);
+  }
+  // Whole powers of two: a histogram widens at most once per power of
+  // two it spans, so record() stays O(1) amortised.
+  lo &= ~(kOctave - 1);
+  hi = (hi + kOctave - 1) & ~(kOctave - 1);
+  std::vector<std::uint64_t> wider(hi - lo);
+  if (!counts_.empty())
+    std::copy(counts_.begin(), counts_.end(), wider.begin() + (lo_key_ - lo));
+  counts_ = std::move(wider);
+  lo_key_ = lo;
+}
+
+void Histogram::merge(const Histogram& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
+  if (count_ == 0 || other.max_ > max_) max_ = other.max_;
+  count_ += other.count_;
+  sum_ += other.sum_;
+  zeros_ += other.zeros_;
+  if (other.counts_.empty()) return;
+  cover(other.lo_key_,
+        static_cast<std::uint32_t>(other.lo_key_ + other.counts_.size()));
+  const std::size_t offset = other.lo_key_ - lo_key_;
+  for (std::size_t i = 0; i < other.counts_.size(); ++i)
+    counts_[offset + i] += other.counts_[i];
 }
 
 double Histogram::min() const { return count_ == 0 ? 0.0 : min_; }
@@ -50,13 +92,19 @@ double Histogram::mean() const {
 
 double Histogram::quantile(double q) const {
   EVS_CHECK(q >= 0.0 && q <= 1.0);
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest rank: smallest index whose cumulative share is >= q.
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
+  if (count_ == 0) return 0.0;
+  // Nearest rank: the bucket where the cumulative count first reaches
+  // ceil(q * count). The first and last ranks are min and max, exactly.
+  const auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(count_)));
+  if (rank <= 1) return min_;
+  if (rank >= count_) return max_;
+  std::uint64_t seen = zeros_;
+  if (seen >= rank) return std::clamp(0.0, min_, max_);
+  std::size_t i = 0;
+  while ((seen += counts_[i]) < rank) ++i;  // ends: the counts sum to count_
+  return std::clamp(value_of(static_cast<std::uint32_t>(lo_key_ + i)), min_,
+                    max_);
 }
 
 namespace {

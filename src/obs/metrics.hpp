@@ -9,12 +9,12 @@
 // under a caller-chosen prefix, so one to_json() call captures the whole
 // run.
 //
-// Histograms keep raw samples up to a fixed reservoir cap so quantiles
-// are exact for protocol-sized runs (thousands of latency points); a
-// long-lived real-socket node that records past the cap degrades to
-// uniform reservoir sampling (Vitter's Algorithm R with a deterministic
-// generator) instead of growing without bound. count/sum/min/max stay
-// exact at any volume.
+// Histograms are log-linear buckets in the HDR style: each positive
+// sample is kept as its value rounded to 7 significant bits (the double's
+// exponent and top 6 mantissa bits), 64 buckets per power of two. record()
+// is O(1), a quantile walks the cumulative counts, histograms merge by
+// adding counts, and the footprint grows with the powers of two the
+// samples span, never with their number. count/sum/min/max stay exact.
 #pragma once
 
 #include <cstdint>
@@ -46,37 +46,48 @@ class Gauge {
 
 class Histogram {
  public:
-  /// Raw samples kept for quantile estimation. Protocol runs stay well
-  /// below this, so their quantiles are exact; past the cap the stored
-  /// set becomes a uniform sample of everything recorded.
-  static constexpr std::size_t kDefaultSampleCap = 8192;
-
-  explicit Histogram(std::size_t sample_cap = kDefaultSampleCap);
+  /// Mantissa bits kept per sample: 2^kMantissaBits buckets per power of
+  /// two. Rounding to nearest then bounds the relative error of a
+  /// reported quantile by half a bucket.
+  static constexpr int kMantissaBits = 6;
+  static constexpr double kRelativeError = 1.0 / (2 << kMantissaBits);
 
   void record(double sample);
+  /// Adds `other`'s samples: the result equals one histogram that
+  /// recorded both sample sets (sum up to floating-point rounding).
+  void merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const;
   double max() const;
   double mean() const;
-  /// Quantile by nearest-rank over the stored samples; q in [0,1].
-  /// Exact while count() <= sample_cap(), estimated from the reservoir
-  /// beyond it.
+  /// Quantile by nearest rank; q in [0,1]. The result is within
+  /// kRelativeError of the sample an exact sort would pick, and exact
+  /// for samples of at most 7 significant bits (integers up to 128).
+  /// Samples <= 0 share one bucket reported as 0, and samples outside
+  /// [2^-24, 2^40] count at that range's ends; every result is clamped
+  /// to [min(), max()].
   double quantile(double q) const;
 
-  std::size_t sample_cap() const { return sample_cap_; }
-  /// Samples currently held (== count() until the cap, then == the cap).
-  std::size_t stored_samples() const { return samples_.size(); }
+  /// Bytes held by the bucket array: 512 per power of two spanned.
+  std::size_t bucket_bytes() const {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
-  std::size_t sample_cap_;
-  std::vector<double> samples_;
+  /// Widens the bucket array, in whole powers of two, to cover keys
+  /// [lo, hi).
+  void cover(std::uint32_t lo, std::uint32_t hi);
+
+  /// counts_[i] counts the samples whose key is lo_key_ + i.
+  std::vector<std::uint64_t> counts_;
+  std::uint32_t lo_key_ = 0;
+  std::uint64_t zeros_ = 0;  // samples <= 0
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-  std::uint64_t rng_state_;  // deterministic reservoir replacement
 };
 
 class MetricsRegistry {

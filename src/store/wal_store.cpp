@@ -24,24 +24,6 @@ constexpr std::uint32_t kSnapshotMagic = 0x31535645u;
 // larger length prefix as corruption instead of attempting the read.
 constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
 void put_u32_le(Bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -55,6 +37,40 @@ std::uint32_t get_u32_le(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 |
          static_cast<std::uint32_t>(p[3]) << 24;
 }
+
+}  // namespace
+
+// Sliced by 8: tables[k][b] is the CRC of byte b followed by k zero
+// bytes, so one step folds eight input bytes with eight lookups.
+std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+      for (std::uint32_t i = 0; i < 256; ++i)
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ get_u32_le(data);
+    const std::uint32_t hi = get_u32_le(data + 4);
+    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n)
+    crc = tables[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("WalStore: " + what + ": " + std::strerror(errno));

@@ -50,6 +50,10 @@
 
 namespace evs::store {
 
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `n` bytes: the
+/// checksum of every WAL record body and of the snapshot file.
+std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
+
 struct WalStoreConfig {
   /// Directory holding wal.log + snapshot.db; created if missing (one
   /// level — the parent must exist).

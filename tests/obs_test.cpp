@@ -8,10 +8,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -249,41 +252,92 @@ TEST(Metrics, HistogramExactQuantiles) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
 }
 
-TEST(Metrics, HistogramReservoirCapBoundary) {
-  Histogram h(100);
-  EXPECT_EQ(h.sample_cap(), 100u);
-
-  // Exactly at the cap: everything stored, quantiles exact.
-  for (int i = 1; i <= 100; ++i) h.record(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.stored_samples(), 100u);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0);
-
-  // One past the cap: storage stays bounded, exact aggregates do not.
-  h.record(1000);
-  EXPECT_EQ(h.count(), 101u);
-  EXPECT_EQ(h.stored_samples(), 100u);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);  // min/max/mean tracked exactly
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_NEAR(h.mean(), (5050.0 + 1000.0) / 101.0, 1e-9);
-
-  // Far past the cap: still bounded, quantiles stay inside the data range.
-  for (int i = 0; i < 10000; ++i) h.record(500);
-  EXPECT_EQ(h.count(), 10101u);
-  EXPECT_EQ(h.stored_samples(), 100u);
-  EXPECT_GE(h.quantile(0.5), 1.0);
-  EXPECT_LE(h.quantile(0.5), 1000.0);
-  // The reservoir is dominated by the dominant value by now.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 500.0);
+/// The sample an exact sort picks for quantile q (nearest rank).
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[rank == 0 ? 0 : rank - 1];
 }
 
-TEST(Metrics, HistogramDefaultCapIsLarge) {
+TEST(Metrics, HistogramQuantilesStayWithinRelativeError) {
+  // Log-uniform over nine decades, 0.01 to 10^7: fractional microseconds
+  // keep the same relative precision as seconds-long tails.
+  ASSERT_LE(Histogram::kRelativeError, 0.01);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> decade(-2.0, 7.0);
   Histogram h;
-  EXPECT_EQ(h.sample_cap(), Histogram::kDefaultSampleCap);
-  for (std::size_t i = 0; i < Histogram::kDefaultSampleCap + 7; ++i)
-    h.record(1.0);
-  EXPECT_EQ(h.count(), Histogram::kDefaultSampleCap + 7);
-  EXPECT_EQ(h.stored_samples(), Histogram::kDefaultSampleCap);
+  std::vector<double> samples;
+  for (int i = 0; i < 20000; ++i) {
+    samples.push_back(std::pow(10.0, decade(rng)));
+    h.record(samples.back());
+  }
+  std::sort(samples.begin(), samples.end());
+  for (int i = 0; i <= 1000; ++i) {
+    const double q = i / 1000.0;
+    const double exact = exact_quantile(samples, q);
+    EXPECT_LE(std::abs(h.quantile(q) - exact),
+              Histogram::kRelativeError * exact)
+        << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), samples.front());
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), samples.back());
+}
+
+TEST(Metrics, HistogramFootprintIsBoundedByRangeNotCount) {
+  // 10^6 latencies from 1 us to ~50 ms span 16 powers of two: 8 KiB of
+  // buckets once the range is seen, however many samples follow.
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> log2_us(0.0, 15.6);
+  Histogram h;
+  std::size_t after_first_thousand = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    h.record(std::exp2(log2_us(rng)));
+    if (i == 999) after_first_thousand = h.bucket_bytes();
+  }
+  EXPECT_EQ(h.count(), 1'000'000u);
+  EXPECT_EQ(h.bucket_bytes(), after_first_thousand);
+  EXPECT_LE(h.bucket_bytes(), 8u * 1024);
+  // Zeros cost no bucket, and a copy (a registry scrape) costs the same.
+  for (int i = 0; i < 1000; ++i) h.record(0.0);
+  const Histogram copy = h;
+  EXPECT_LE(copy.bucket_bytes(), h.bucket_bytes());
+  EXPECT_EQ(copy.quantile(0.5), h.quantile(0.5));
+}
+
+TEST(Metrics, HistogramMergeEqualsRecordingBoth) {
+  // Integers on one side; on the other, multiples of 1/64 from 1/64 to
+  // 2^20 plus zeros. Both sums stay exact in a double, so every field of
+  // the merge must match one histogram that recorded everything.
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> small(0.0, 10.0);
+  std::uniform_real_distribution<double> wide(-6.0, 20.0);
+  Histogram a;
+  Histogram b;
+  Histogram both;
+  for (int i = 0; i < 5000; ++i) {
+    const double x = std::floor(std::exp2(small(rng)));
+    a.record(x);
+    both.record(x);
+    const double y =
+        i % 10 == 0 ? 0.0 : std::floor(std::exp2(wide(rng)) * 64) / 64;
+    b.record(y);
+    both.record(y);
+  }
+  Histogram merged;
+  merged.merge(a);
+  merged.merge(b);
+  merged.merge(Histogram{});
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_EQ(merged.sum(), both.sum());
+  EXPECT_EQ(merged.min(), both.min());
+  EXPECT_EQ(merged.max(), both.max());
+  for (int i = 0; i <= 1000; ++i)
+    EXPECT_EQ(merged.quantile(i / 1000.0), both.quantile(i / 1000.0))
+        << "q=" << i / 1000.0;
+  // Merging in the other order, into a non-empty histogram, agrees too.
+  b.merge(a);
+  for (int i = 0; i <= 1000; ++i)
+    EXPECT_EQ(b.quantile(i / 1000.0), both.quantile(i / 1000.0));
 }
 
 TEST(Metrics, PrometheusExposition) {

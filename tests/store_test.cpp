@@ -354,6 +354,34 @@ TEST(WalStoreTest, ExportMetricsProjectsStatsAndHistograms) {
   EXPECT_EQ(registry.histogram("store.sync_us").count(), 1u);
 }
 
+TEST(WalStoreTest, Crc32MatchesTheStandardCheckAndABitwiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(store::crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                         check.size()),
+            0xCBF43926u);
+  // Bit-at-a-time CRC over every length 0..40 at every start offset 0..7:
+  // the eight-byte steps and the byte tail meet each alignment.
+  const auto bitwise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k)
+        crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::mt19937 rng(5);
+  std::vector<std::uint8_t> buf(48);
+  for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+      EXPECT_EQ(store::crc32(buf.data() + offset, n),
+                bitwise(buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Differential recovery.
 
